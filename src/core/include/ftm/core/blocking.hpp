@@ -7,6 +7,7 @@
 #include <cstddef>
 
 #include "ftm/isa/machine.hpp"
+#include "ftm/kernelgen/spec.hpp"
 
 namespace ftm::core {
 
@@ -47,25 +48,30 @@ double cmr_k_inner(std::size_t ma, std::size_t ka, std::size_t na, int cores);
 
 /// Initial block sizes from hardware capacities alone (shape-agnostic),
 /// maximizing CMR as in §IV-C. With the published FT-m7032 capacities these
-/// land on (or tie with) the paper's constants.
-MBlocks initial_m_blocks(const isa::MachineConfig& mc);
+/// land on (or tie with) the paper's constants. The FP64 and half-format
+/// M-parallel runs start from fixed tiles instead (k_a = 512, m_s = 12).
+MBlocks initial_m_blocks(const isa::MachineConfig& mc,
+                         kernelgen::DType dtype = kernelgen::DType::F32);
 KBlocks initial_k_blocks(const isa::MachineConfig& mc);
 
 /// Dynamic adjustment to an actual (M, N, K) shape: clamps to the matrix,
 /// re-grows the freed capacity along the parallelized dimension, balances
 /// the parallel block count across `cores`, keeps k_g as large as possible
 /// (C_a reuse), and enforces ms >= 6 when M allows (small-ms kernels
-/// underperform, §IV-C).
+/// underperform, §IV-C). `dtype` sets the element bytes, vector lanes and
+/// B-row packing every footprint is computed with (kernelgen/spec.hpp).
 MBlocks adjust_m_blocks(MBlocks b, std::size_t m, std::size_t n,
                         std::size_t k, const isa::MachineConfig& mc,
-                        int cores = 8);
+                        int cores = 8,
+                        kernelgen::DType dtype = kernelgen::DType::F32);
 KBlocks adjust_k_blocks(KBlocks b, std::size_t m, std::size_t n,
                         std::size_t k, const isa::MachineConfig& mc,
                         int cores = 8);
 
 /// Capacity audits: throw ContractViolation when a configuration cannot
 /// fit SM/AM/GSM with double buffering as used by the algorithms.
-void check_m_blocks(const MBlocks& b, const isa::MachineConfig& mc);
+void check_m_blocks(const MBlocks& b, const isa::MachineConfig& mc,
+                    kernelgen::DType dtype = kernelgen::DType::F32);
 void check_k_blocks(const KBlocks& b, const isa::MachineConfig& mc);
 void check_t_blocks(const TBlocks& b, const isa::MachineConfig& mc);
 

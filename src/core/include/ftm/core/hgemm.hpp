@@ -1,6 +1,6 @@
 // Mixed-precision FP16/BF16 GEMM on the simulated cluster — the companion
-// to the VFMULAH32 micro-kernels. Implements the M-dimension parallel
-// algorithm (Algorithm 4) with half-width operand tiles: the packed B
+// to the VFMULAH32 micro-kernels. Runs the FP32 M-dimension parallel
+// loop nest (Algorithm 4) with half-width operand tiles: the packed B
 // panel cached in GSM, per-core A/C streaming, ping-pong at every level.
 // Accumulation is FP32 throughout (C tiles are FP32 in AM and DDR).
 //

@@ -111,7 +111,8 @@ struct FtimmOptions {
   /// Compute precision. F32 is the paper's path. F16/BF16 route sgemm()
   /// through the mixed-precision engine (hgemm.hpp): FP32 views in DDR,
   /// operands packed to halves outside the timed region, FP32
-  /// accumulation on the DSP. F64 callers use dgemm() directly.
+  /// accumulation on the DSP. F64 callers use dgemm() directly; the
+  /// FP32-view entry points (plan, sgemm, the runtime) reject F64.
   kernelgen::DType dtype = kernelgen::DType::F32;
   /// Strassen recursion cutoff: sub-problems whose max dimension is at or
   /// below this run the blocked FP32 path. 0 = the built-in default

@@ -45,15 +45,19 @@ double cmr_k_inner(std::size_t ma, std::size_t ka, std::size_t na,
          (p * ka * (ma + static_cast<double>(na)) + 2.0 * ma * na);
 }
 
-void check_m_blocks(const MBlocks& b, const isa::MachineConfig& mc) {
-  FTM_EXPECTS(b.ms >= 1 && b.na >= 1 && b.na <= 96 && b.ng >= b.na);
-  const std::size_t p = am_pitch_floats(b.na);
-  // GSM: double-buffered B panel.
-  FTM_EXPECTS(2 * b.kg * b.ng * kFloat <= mc.gsm_bytes);
+void check_m_blocks(const MBlocks& b, const isa::MachineConfig& mc,
+                    kernelgen::DType dtype) {
+  const auto na_max = static_cast<std::size_t>(3 * kernelgen::lanes(dtype));
+  FTM_EXPECTS(b.ms >= 1 && b.na >= 1 && b.na <= na_max && b.ng >= b.na);
+  const std::size_t eb = kernelgen::elem_bytes(dtype);
+  const std::size_t kr = kernelgen::k_per_b_row(dtype);
+  const std::size_t p = kernelgen::am_row_bytes(b.na, dtype);
+  // GSM: double-buffered B panel of kg / kr stored rows of ng words.
+  FTM_EXPECTS(2 * (b.kg / kr) * b.ng * (eb * kr) <= mc.gsm_bytes);
   // SM: double-buffered A_s slice.
-  FTM_EXPECTS(2 * b.ms * b.ka * kFloat <= mc.sm_bytes);
+  FTM_EXPECTS(2 * b.ms * b.ka * eb <= mc.sm_bytes);
   // AM: C_a tile + double-buffered B_a tile.
-  FTM_EXPECTS((b.ma * p + 2 * b.ka * p) * kFloat <= mc.am_bytes);
+  FTM_EXPECTS(b.ma * p + 2 * (b.ka / kr) * p <= mc.am_bytes);
   FTM_EXPECTS(b.ms <= b.ma && b.na <= b.ng && b.ka <= b.kg);
 }
 
@@ -82,7 +86,17 @@ void check_t_blocks(const TBlocks& b, const isa::MachineConfig& mc) {
   FTM_EXPECTS((b.mg * p + 2 * b.kg * p) * kFloat <= mc.am_bytes);
 }
 
-MBlocks initial_m_blocks(const isa::MachineConfig& mc) {
+MBlocks initial_m_blocks(const isa::MachineConfig& mc,
+                         kernelgen::DType dtype) {
+  if (dtype != kernelgen::DType::F32) {
+    // FP64 and the half formats start from fixed tiles (no CMR search):
+    // three vectors of N, k_a = 512, m_s = 12; adjust_m_blocks fits them.
+    MBlocks b;
+    b.na = b.ng = static_cast<std::size_t>(3 * kernelgen::lanes(dtype));
+    b.ka = 512;
+    b.ms = 12;
+    return b;
+  }
   MBlocks best;
   double best_score = -1.0;
   const int cores = mc.cores_per_cluster;
@@ -146,19 +160,25 @@ KBlocks initial_k_blocks(const isa::MachineConfig& mc) {
 
 MBlocks adjust_m_blocks(MBlocks b, std::size_t m, std::size_t n,
                         std::size_t k, const isa::MachineConfig& mc,
-                        int cores) {
+                        int cores, kernelgen::DType dtype) {
   FTM_EXPECTS(m >= 1 && n >= 1 && k >= 1);
   FTM_EXPECTS(cores >= 1);
-  b.na = std::min<std::size_t>(96, n);
+  const std::size_t eb = kernelgen::elem_bytes(dtype);
+  const std::size_t kr = kernelgen::k_per_b_row(dtype);
+  b.na = std::min<std::size_t>(3 * kernelgen::lanes(dtype), n);
   b.ng = std::min(std::max(b.na, b.ng), n);
-  const std::size_t p = am_pitch_floats(b.na);
+  const std::size_t p = kernelgen::am_row_bytes(b.na, dtype);
 
   // Keep k_a within K; a shrunken k_a frees SM and AM capacity.
   b.ka = std::min(b.ka, k);
+  // Half kernels consume k in pairs, two pairs per step: k_a a multiple
+  // of 4 keeps every K tile, the tail included, at >= 2 k-pairs.
+  if (kernelgen::is_half(dtype)) {
+    b.ka = std::max<std::size_t>(4, round_down(b.ka, 4));
+  }
   // ms >= 6 when M allows (small-ms kernels underperform), capped by the
   // SM footprint of the double-buffered A slice and a practical 16.
-  std::size_t ms_cap =
-      std::min<std::size_t>(16, mc.sm_bytes / (2 * b.ka * kFloat));
+  std::size_t ms_cap = std::min<std::size_t>(16, mc.sm_bytes / (2 * b.ka * eb));
   b.ms = std::min(ms_cap, std::max<std::size_t>(b.ms, 6));
   if (m < b.ms) b.ms = m;
   FTM_ASSERT(b.ms >= 1);
@@ -166,7 +186,7 @@ MBlocks adjust_m_blocks(MBlocks b, std::size_t m, std::size_t n,
   // Re-grow m_a into whatever AM is left, then pick the block size so the
   // parallel block count is a multiple of the active cores (round-robin
   // assignment stays balanced).
-  std::size_t ma_cap = (mc.am_bytes / kFloat - 2 * b.ka * p) / p;
+  std::size_t ma_cap = (mc.am_bytes - 2 * (b.ka / kr) * p) / p;
   ma_cap = std::min<std::size_t>(ma_cap, 4096);  // DMA practicality
   ma_cap = std::max(ma_cap, b.ms);
   const std::size_t pcores = static_cast<std::size_t>(cores);
@@ -178,12 +198,12 @@ MBlocks adjust_m_blocks(MBlocks b, std::size_t m, std::size_t n,
   b.ma = std::clamp(ma, b.ms, ma_cap);
 
   // k_g as large as GSM allows (improves C_a reuse), multiple of k_a.
-  std::size_t kg = round_down(mc.gsm_bytes / (2 * b.ng * kFloat), 32);
+  std::size_t kg = round_down(mc.gsm_bytes / (2 * b.ng * eb), 32);
   kg = std::min(kg, k);
   if (kg > b.ka) kg = std::max(b.ka, round_down(kg, b.ka));
   b.kg = std::max(b.ka, kg);
 
-  check_m_blocks(b, mc);
+  check_m_blocks(b, mc, dtype);
   return b;
 }
 

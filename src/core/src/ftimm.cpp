@@ -76,6 +76,7 @@ GemmPlan FtimmEngine::plan(std::size_t m, std::size_t n, std::size_t k,
                            const FtimmOptions& opt) const {
   FTM_EXPECTS(m >= 1 && n >= 1 && k >= 1);
   FTM_EXPECTS(opt.cores >= 1 && opt.cores <= mc_.cores_per_cluster);
+  FTM_EXPECTS(opt.dtype != kernelgen::DType::F64);  // FP64: use dgemm()
   // Tuned plans only replace the fully automatic path: a forced strategy
   // or pinned (non-dynamic) blocks is an explicit caller decision.
   if (provider_ != nullptr && opt.force == Strategy::Auto &&
@@ -140,19 +141,18 @@ GemmResult FtimmEngine::sgemm_planned(const GemmInput& in,
                                       const FtimmOptions& opt) {
   FTM_EXPECTS(in.m >= 1 && in.n >= 1 && in.k >= 1);
   FTM_EXPECTS(opt.cores >= 1 && opt.cores <= mc_.cores_per_cluster);
+  // FP32 views cannot carry FP64 data: FP64 callers use dgemm().
+  FTM_EXPECTS(opt.dtype != kernelgen::DType::F64);
   // A tuned DMA buffering depth travels with the plan and overrides the
   // caller's ping-pong setting (0 = plan has no opinion).
   FtimmOptions eff = opt;
   if (plan.dma_buffers > 0) eff.pingpong = plan.dma_buffers >= 2;
 
-  // Mixed precision (docs/precision.md): F16/BF16 requests run the
-  // dedicated half engine, which derives its own capacity blocks (2-byte
-  // operands change every footprint) — the FP32 plan does not apply.
+  // Mixed precision (docs/precision.md): F16/BF16 requests run hgemm_f32,
+  // which adjusts its own half-format blocks (2-byte operands change every
+  // footprint) — the FP32 plan does not apply.
   if (kernelgen::is_half(eff.dtype) && plan.strategy != Strategy::Strassen) {
-    GemmResult hr = hgemm_f32(*this, in, eff);
-    FTM_TRACE_COUNTER("kernel.dtype",
-                      static_cast<std::uint64_t>(eff.dtype));
-    return hr;
+    return hgemm_f32(*this, in, eff);
   }
 
   // Strassen reassociates the accumulation, which breaks the calibrated

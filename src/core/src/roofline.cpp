@@ -24,25 +24,14 @@ double roofline_gflops(std::size_t m, std::size_t n, std::size_t k,
   return std::min(peak, bw_bound);
 }
 
-namespace {
-double operand_bytes(kernelgen::DType dtype) {
-  if (dtype == kernelgen::DType::F64) return 8.0;
-  return kernelgen::is_half(dtype) ? 2.0 : 4.0;
-}
-double peak_scale(kernelgen::DType dtype) {
-  if (dtype == kernelgen::DType::F64) return 0.5;
-  return kernelgen::is_half(dtype) ? 2.0 : 1.0;
-}
-}  // namespace
-
 double min_ddr_bytes(std::size_t m, std::size_t n, std::size_t k,
                      kernelgen::DType dtype) {
   const double dm = static_cast<double>(m);
   const double dn = static_cast<double>(n);
   const double dk = static_cast<double>(k);
-  const double ab = operand_bytes(dtype);
+  const auto ab = static_cast<double>(kernelgen::elem_bytes(dtype));
   // C reads+writes at accumulator width: FP32 for everything but F64.
-  const double cb = dtype == kernelgen::DType::F64 ? 8.0 : 4.0;
+  const auto cb = static_cast<double>(kernelgen::acc_bytes(dtype));
   return ab * (dm * dk + dk * dn) + cb * 2.0 * dm * dn;
 }
 
@@ -55,7 +44,8 @@ double arithmetic_intensity(std::size_t m, std::size_t n, std::size_t k,
 double roofline_gflops(std::size_t m, std::size_t n, std::size_t k,
                        int cores, const isa::MachineConfig& mc,
                        kernelgen::DType dtype) {
-  const double peak = mc.core_peak_gflops() * cores * peak_scale(dtype);
+  const double peak =
+      mc.core_peak_gflops() * cores * kernelgen::peak_scale(dtype);
   const double bw_bound =
       arithmetic_intensity(m, n, k, dtype) * mc.ddr_bytes_per_sec / 1e9;
   return std::min(peak, bw_bound);

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 
+#include "ftm/core/blocking.hpp"
 #include "ftm/core/exec.hpp"
 #include "ftm/core/types.hpp"
 #include "ftm/kernelgen/hostsimd.hpp"
@@ -22,7 +23,8 @@ struct RunCtx {
   sim::Cluster& cl;
   kernelgen::KernelCache& cache;
   const FtimmOptions& opt;
-  bool fn;  ///< functional (data-moving) mode
+  kernelgen::DType dtype;  ///< element type of the run's kernels
+  bool fn;                 ///< functional (data-moving) mode
   HostExecEngine exec;
   std::uint64_t ddr_bytes = 0;
   std::uint64_t kernel_calls = 0;
@@ -32,10 +34,12 @@ struct RunCtx {
   /// GEMM; an active session outlives the call by contract.
   trace::TraceSession* trace_ = nullptr;
 
-  RunCtx(sim::Cluster& c, kernelgen::KernelCache& k, const FtimmOptions& o)
+  RunCtx(sim::Cluster& c, kernelgen::KernelCache& k, const FtimmOptions& o,
+         kernelgen::DType dt = kernelgen::DType::F32)
       : cl(c),
         cache(k),
         opt(o),
+        dtype(dt),
         fn(o.functional),
         exec(o.functional ? o.host_pool : nullptr,
              c.machine().cores_per_cluster),
@@ -141,14 +145,15 @@ struct RunCtx {
   }
 
   /// Charge a micro-kernel execution on `core`'s timeline; defers the
-  /// math onto `core`'s op queue in functional mode. The charged cycles
+  /// math onto `core`'s op queue in functional mode (operands typed by
+  /// the kernel's dtype, see HostExecEngine::kernel). The charged cycles
   /// are the calibrated cost either way (run_fast returns cost_only()),
   /// so deferring the math cannot move a single simulated cycle.
-  void kernel(int core, const kernelgen::MicroKernel& uk, const float* a,
-              const float* b, float* c) {
+  void kernel(int core, const kernelgen::MicroKernel& uk, const void* a,
+              const void* b, void* c) {
     ++kernel_calls;
     const std::uint64_t cycles = uk.cost_only();
-    if (fn) exec.kernel_f32(core, uk, a, b, c);
+    if (fn) exec.kernel(core, uk, a, b, c);
 #if FTM_TRACE_ENABLED
     if (trace_ != nullptr) {
       const sim::ExecResult& calib = uk.calibration();
@@ -170,24 +175,6 @@ struct RunCtx {
     }
 #endif
     cl.timeline(core).compute(cycles);
-  }
-
-  /// FP64 variant (dgemm); charges timing identically, no trace span —
-  /// matching the pre-engine dgemm behavior.
-  void kernel_f64(int core, const kernelgen::MicroKernel& uk,
-                  const double* a, const double* b, double* c) {
-    ++kernel_calls;
-    if (fn) exec.kernel_f64(core, uk, a, b, c);
-    cl.timeline(core).compute(uk.cost_only());
-  }
-
-  /// FP16/BF16 variant (hgemm): A is packed halves in SM, B the
-  /// pair-interleaved AM panel, C FP32.
-  void kernel_half(int core, const kernelgen::MicroKernel& uk,
-                   const std::uint16_t* a, const std::uint32_t* b, float* c) {
-    ++kernel_calls;
-    if (fn) exec.kernel_half(core, uk, a, b, c);
-    cl.timeline(core).compute(uk.cost_only());
   }
 
   /// Phase spans (ping-pong C-tile rounds, the K-strategy reduction...):
@@ -222,18 +209,21 @@ struct RunCtx {
 #endif
   }
 
-  GemmResult finish(const GemmInput& in, Strategy s) {
+  GemmResult finish(std::size_t m, std::size_t n, std::size_t k,
+                    Strategy s) {
     exec.flush();  // C must be fully written before the caller reads it
     cl.barrier();
     GemmResult r;
     r.cycles = cl.max_time();
     r.seconds = cl.cycles_to_seconds(r.cycles);
-    r.gflops = cl.gflops(in.flops(), r.cycles);
-    const double peak =
-        cl.machine().core_peak_gflops() * static_cast<double>(opt.cores);
+    r.gflops = cl.gflops(2.0 * m * n * k, r.cycles);
+    const double peak = cl.machine().core_peak_gflops() *
+                        kernelgen::peak_scale(dtype) *
+                        static_cast<double>(opt.cores);
     r.efficiency = peak > 0 ? r.gflops / peak : 0.0;
     r.strategy = s;
     r.cores = opt.cores;
+    r.dtype = dtype;
     r.ddr_bytes = ddr_bytes;
     r.kernel_calls = kernel_calls;
     r.host_wall_us =
@@ -249,12 +239,17 @@ struct RunCtx {
       e.dur = r.cycles;
       e.cluster = cl.id();
       e.track = trace::TrackKind::Cluster;
-      e.arg("m", in.m);
-      e.arg("n", in.n);
-      e.arg("k", in.k);
+      e.arg("m", m);
+      e.arg("n", n);
+      e.arg("k", k);
       trace_->record(e);
       trace_->count("gemm.calls");
       trace_->count("gemm.cycles", r.cycles);
+      // Once per loop-nest run, like gemm.calls: the enum value of every
+      // non-FP32 run, so a pure-dtype trace reads dtype * gemm.calls.
+      if (dtype != kernelgen::DType::F32) {
+        trace_->count("kernel.dtype", static_cast<std::uint64_t>(dtype));
+      }
       // Host-engine gauges, summed per GEMM (the registry is cumulative):
       // tier id of the SIMD dispatch and host threads a flush may use.
       trace_->count("host.simd_tier",
@@ -267,6 +262,27 @@ struct RunCtx {
     return r;
   }
 };
+
+/// The operands of one M-parallel GEMM, whatever the dtype: byte pointers
+/// with leading dimensions in elements of each operand's stored type.
+/// A holds elem_bytes(dtype) elements; a stored B row holds one word per
+/// column covering k_per_b_row(dtype) k steps (the half formats pass their
+/// pair-interleaved panel); C holds acc_bytes(dtype) accumulators. The
+/// pointers may be null in timing-only runs.
+struct MOperands {
+  std::size_t m = 0, n = 0, k = 0;
+  kernelgen::DType dtype = kernelgen::DType::F32;
+  const void* a = nullptr;
+  const void* b = nullptr;
+  void* c = nullptr;
+  std::size_t lda = 0, ldb = 0, ldc = 0;
+};
+
+/// Algorithm 4 for every dtype (strategy_m.cpp): the FP32 run_strategy_m,
+/// dgemm and hgemm are thin entries into this one loop nest.
+GemmResult run_strategy_m(sim::Cluster& cl, kernelgen::KernelCache& cache,
+                          const MOperands& in, const MBlocks& mb,
+                          const FtimmOptions& opt);
 
 /// Round-robin ownership of parallel-loop iterations.
 inline bool owns(int core, std::size_t iteration, int cores) {

@@ -346,7 +346,7 @@ GemmResult run_strategy_k(sim::Cluster& cl, kernelgen::KernelCache& cache,
     }
   }
 
-  return ctx.finish(in, Strategy::ParallelK);
+  return ctx.finish(in.m, in.n, in.k, Strategy::ParallelK);
 }
 
 }  // namespace ftm::core

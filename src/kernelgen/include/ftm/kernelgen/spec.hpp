@@ -31,6 +31,36 @@ constexpr bool is_half(DType t) {
   return t == DType::F16 || t == DType::BF16;
 }
 
+// Per-dtype storage values. Everything that differs between the dtypes
+// of one loop nest (the kernels, the M-parallel strategy, its block
+// solver, the roofline) reads them from here.
+
+/// Output (accumulator) lanes per vector register: 32 FP32 lanes for F32
+/// and the half formats, 16 FP64 lanes for F64.
+constexpr int lanes(DType t) { return t == DType::F64 ? 16 : 32; }
+/// Bytes per *input* element (A/B).
+constexpr std::size_t elem_bytes(DType t) {
+  if (t == DType::F64) return 8;
+  return is_half(t) ? 2 : 4;
+}
+/// Bytes per C/accumulator element: FP32 for everything but F64.
+constexpr std::size_t acc_bytes(DType t) { return t == DType::F64 ? 8 : 4; }
+/// k steps one stored B row covers. The half formats interleave k pairs,
+/// so one row of 32-bit words holds two k steps.
+constexpr std::size_t k_per_b_row(DType t) { return is_half(t) ? 2 : 1; }
+/// AM row pitch in bytes for na columns: na padded to whole 128-byte
+/// vectors (B and C rows share it for every dtype).
+constexpr std::size_t am_row_bytes(std::size_t na, DType t) {
+  const auto l = static_cast<std::size_t>(lanes(t));
+  return (na + l - 1) / l * 128;
+}
+/// Compute peak relative to FP32: FP64 FMACs do half the lanes, the half
+/// formats' VFMULAH32 is a 2-way dot product per lane.
+constexpr double peak_scale(DType t) {
+  if (t == DType::F64) return 0.5;
+  return is_half(t) ? 2.0 : 1.0;
+}
+
 /// Shape of one micro-kernel instance. `load_c` selects whether the kernel
 /// pre-loads C_a into the accumulators (accumulating kernel, the default
 /// used by every GEMM strategy) or zero-initialises them.
@@ -43,21 +73,18 @@ struct KernelSpec {
 
   bool operator==(const KernelSpec&) const = default;
 
-  /// Output (accumulator) lanes per vector register: 32 FP32 lanes for
-  /// F32 and the half formats, 16 FP64 lanes for F64.
-  int lanes() const { return dtype == DType::F64 ? 16 : 32; }
-  /// Bytes per *input* element (A/B). C is FP32 for the half formats.
-  std::size_t elem_bytes() const {
-    if (dtype == DType::F64) return 8;
-    return is_half(dtype) ? 2 : 4;
-  }
+  int lanes() const { return kernelgen::lanes(dtype); }
+  std::size_t elem_bytes() const { return kernelgen::elem_bytes(dtype); }
   /// Half kernels consume k two at a time; ka is padded to even upstream.
   int kpairs() const { return (ka + 1) / 2; }
   /// Number of vector registers covering na.
   int vn() const { return (na + lanes() - 1) / lanes(); }
   /// AM row pitch in bytes for B_a/C_a: na padded to whole 128-byte
   /// vectors, which is ftIMM's improvement over TGEMM's fixed pad to 96.
-  int am_row_bytes() const { return vn() * 128; }
+  int am_row_bytes() const {
+    return static_cast<int>(
+        kernelgen::am_row_bytes(static_cast<std::size_t>(na), dtype));
+  }
   /// AM row pitch in elements.
   int am_row_elems() const { return vn() * lanes(); }
   /// Back-compat alias used by the FP32 strategies.

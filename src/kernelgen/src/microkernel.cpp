@@ -14,16 +14,82 @@ namespace {
 // functional simulation and used to pay a heap allocation per call. One
 // buffer per host thread also keeps the parallel execution engine
 // (core::HostExecEngine) allocation-free and race-free.
-float* scratch_f32(std::size_t n) {
-  thread_local std::vector<float> buf;
+template <class T>
+T* scratch(std::size_t n) {
+  thread_local std::vector<T> buf;
   if (buf.size() < n) buf.resize(n);
   return buf.data();
 }
 
-double* scratch_f64(std::size_t n) {
-  thread_local std::vector<double> buf;
-  if (buf.size() < n) buf.resize(n);
-  return buf.data();
+// The hostsimd primitive for each element type.
+void fmadd(float* acc, float a, const float* x, std::size_t n) {
+  hostsimd::fmadd_f32(acc, a, x, n);
+}
+void fmadd(double* acc, double a, const double* x, std::size_t n) {
+  hostsimd::fmadd_f64(acc, a, x, n);
+}
+void add(float* acc, const float* x, std::size_t n) {
+  hostsimd::add_f32(acc, x, n);
+}
+void add(double* acc, const double* x, std::size_t n) {
+  hostsimd::add_f64(acc, x, n);
+}
+
+// The F32/F64 fast path. Accumulator banks mirror the generated code:
+// bank `kui` accumulates k = i*ku + kui, remainder step j lands in bank
+// j % ku, and banks are reduced into bank 0 in ascending order — making
+// this path bit-identical to the detailed simulation. The inner loops are
+// elementwise over x, so the hostsimd primitives (AVX2/NEON fused ops,
+// same IEEE rounding as std::fma) change nothing but speed.
+template <class T>
+void run_banked(const KernelSpec& spec, const Tiling& tiling, const T* a,
+                const T* b, T* c) {
+  const int ms = spec.ms;
+  const int ka = spec.ka;
+  const int ld = spec.am_row_elems();  // vn * lanes
+  const int ku = tiling.ku;
+  const int mu = tiling.mu;
+  const int nk = ka / ku;
+  const int krem = ka - nk * ku;
+  const auto row_bytes = static_cast<std::size_t>(ld) * sizeof(T);
+
+  T* banks = scratch<T>(static_cast<std::size_t>(ku) * ld);
+  for (int mm = 0; mm < ms; mm += mu) {
+    const int mu_t = std::min(mu, ms - mm);
+    for (int r = 0; r < mu_t; ++r) {
+      const int row = mm + r;
+      T* bank0 = banks;
+      if (spec.load_c) {
+        std::memcpy(bank0, c + static_cast<std::size_t>(row) * ld, row_bytes);
+      } else {
+        std::memset(bank0, 0, row_bytes);
+      }
+      if (ku > 1) {
+        std::memset(banks + ld, 0,
+                    static_cast<std::size_t>(ku - 1) * row_bytes);
+      }
+      const T* arow = a + static_cast<std::size_t>(row) * ka;
+      for (int i = 0; i < nk; ++i) {
+        for (int kui = 0; kui < ku; ++kui) {
+          const int k = i * ku + kui;
+          fmadd(banks + static_cast<std::size_t>(kui) * ld, arow[k],
+                b + static_cast<std::size_t>(k) * ld,
+                static_cast<std::size_t>(ld));
+        }
+      }
+      for (int j = 0; j < krem; ++j) {
+        const int k = nk * ku + j;
+        fmadd(banks + static_cast<std::size_t>(j % ku) * ld, arow[k],
+              b + static_cast<std::size_t>(k) * ld,
+              static_cast<std::size_t>(ld));
+      }
+      for (int kui = 1; kui < ku; ++kui) {
+        add(bank0, banks + static_cast<std::size_t>(kui) * ld,
+            static_cast<std::size_t>(ld));
+      }
+      std::memcpy(c + static_cast<std::size_t>(row) * ld, bank0, row_bytes);
+    }
+  }
 }
 
 }  // namespace
@@ -45,11 +111,9 @@ MicroKernel::MicroKernel(const KernelSpec& spec, const isa::MachineConfig& mc)
 double MicroKernel::efficiency() const {
   if (calib_.cycles == 0) return 0.0;
   const double useful = spec_.flops();
-  // FP64 halves the per-FMAC flop count (16 lanes instead of 32); the half
-  // formats double it (VFMULAH32 is a 2-way dot product per lane).
-  double peak_per_cycle = static_cast<double>(mc_.peak_flops_per_cycle());
-  if (spec_.dtype == DType::F64) peak_per_cycle /= 2.0;
-  if (is_half(spec_.dtype)) peak_per_cycle *= 2.0;
+  const double peak_per_cycle =
+      static_cast<double>(mc_.peak_flops_per_cycle()) *
+      peak_scale(spec_.dtype);
   return useful / (static_cast<double>(calib_.cycles) * peak_per_cycle);
 }
 
@@ -66,115 +130,14 @@ sim::ExecResult MicroKernel::run_detailed(sim::DspCore& core,
 std::uint64_t MicroKernel::run_fast(const float* a, const float* b,
                                     float* c) const {
   FTM_EXPECTS(spec_.dtype == DType::F32);
-  const int ms = spec_.ms;
-  const int ka = spec_.ka;
-  const int vn = spec_.vn();
-  const int ld = spec_.am_row_elems();
-  const int ku = tiling_.ku;
-  const int mu = tiling_.mu;
-  const int nk = ka / ku;
-  const int krem = ka - nk * ku;
-
-  // Accumulator banks mirror the generated code: bank `kui` accumulates
-  // k = i*ku + kui, remainder step j lands in bank j % ku, and banks are
-  // reduced into bank 0 in ascending order — making this path bit-identical
-  // to the detailed simulation. The inner loops are elementwise over x, so
-  // the hostsimd primitives (AVX2/NEON fused ops, same IEEE rounding as
-  // std::fmaf) change nothing but speed.
-  float* banks = scratch_f32(static_cast<std::size_t>(ku) * ld);
-  for (int mm = 0; mm < ms; mm += mu) {
-    const int mu_t = std::min(mu, ms - mm);
-    for (int r = 0; r < mu_t; ++r) {
-      const int row = mm + r;
-      float* bank0 = banks;
-      if (spec_.load_c) {
-        std::memcpy(bank0, c + static_cast<std::size_t>(row) * ld,
-                    static_cast<std::size_t>(ld) * sizeof(float));
-      } else {
-        std::memset(bank0, 0, static_cast<std::size_t>(ld) * sizeof(float));
-      }
-      if (ku > 1) {
-        std::memset(banks + ld, 0,
-                    static_cast<std::size_t>(ku - 1) * ld * sizeof(float));
-      }
-      const float* arow = a + static_cast<std::size_t>(row) * ka;
-      for (int i = 0; i < nk; ++i) {
-        for (int kui = 0; kui < ku; ++kui) {
-          const int k = i * ku + kui;
-          const float* brow = b + static_cast<std::size_t>(k) * ld;
-          hostsimd::fmadd_f32(banks + static_cast<std::size_t>(kui) * ld,
-                              arow[k], brow,
-                              static_cast<std::size_t>(vn) * 32);
-        }
-      }
-      for (int j = 0; j < krem; ++j) {
-        const int k = nk * ku + j;
-        const float* brow = b + static_cast<std::size_t>(k) * ld;
-        hostsimd::fmadd_f32(banks + static_cast<std::size_t>(j % ku) * ld,
-                            arow[k], brow,
-                            static_cast<std::size_t>(vn) * 32);
-      }
-      for (int kui = 1; kui < ku; ++kui) {
-        hostsimd::add_f32(bank0, banks + static_cast<std::size_t>(kui) * ld,
-                          static_cast<std::size_t>(ld));
-      }
-      std::memcpy(c + static_cast<std::size_t>(row) * ld, bank0,
-                  static_cast<std::size_t>(ld) * sizeof(float));
-    }
-  }
+  run_banked(spec_, tiling_, a, b, c);
   return calib_.cycles;
 }
 
 std::uint64_t MicroKernel::run_fast_f64(const double* a, const double* b,
                                         double* c) const {
   FTM_EXPECTS(spec_.dtype == DType::F64);
-  const int ms = spec_.ms;
-  const int ka = spec_.ka;
-  const int ld = spec_.am_row_elems();  // vn * 16 doubles
-  const int ku = tiling_.ku;
-  const int mu = tiling_.mu;
-  const int nk = ka / ku;
-  const int krem = ka - nk * ku;
-
-  double* banks = scratch_f64(static_cast<std::size_t>(ku) * ld);
-  for (int mm = 0; mm < ms; mm += mu) {
-    const int mu_t = std::min(mu, ms - mm);
-    for (int r = 0; r < mu_t; ++r) {
-      const int row = mm + r;
-      double* bank0 = banks;
-      if (spec_.load_c) {
-        std::memcpy(bank0, c + static_cast<std::size_t>(row) * ld,
-                    static_cast<std::size_t>(ld) * sizeof(double));
-      } else {
-        std::memset(bank0, 0, static_cast<std::size_t>(ld) * sizeof(double));
-      }
-      if (ku > 1) {
-        std::memset(banks + ld, 0,
-                    static_cast<std::size_t>(ku - 1) * ld * sizeof(double));
-      }
-      const double* arow = a + static_cast<std::size_t>(row) * ka;
-      for (int i = 0; i < nk; ++i) {
-        for (int kui = 0; kui < ku; ++kui) {
-          const int k = i * ku + kui;
-          const double* brow = b + static_cast<std::size_t>(k) * ld;
-          hostsimd::fmadd_f64(banks + static_cast<std::size_t>(kui) * ld,
-                              arow[k], brow, static_cast<std::size_t>(ld));
-        }
-      }
-      for (int j = 0; j < krem; ++j) {
-        const int k = nk * ku + j;
-        const double* brow = b + static_cast<std::size_t>(k) * ld;
-        hostsimd::fmadd_f64(banks + static_cast<std::size_t>(j % ku) * ld,
-                            arow[k], brow, static_cast<std::size_t>(ld));
-      }
-      for (int kui = 1; kui < ku; ++kui) {
-        hostsimd::add_f64(bank0, banks + static_cast<std::size_t>(kui) * ld,
-                          static_cast<std::size_t>(ld));
-      }
-      std::memcpy(c + static_cast<std::size_t>(row) * ld, bank0,
-                  static_cast<std::size_t>(ld) * sizeof(double));
-    }
-  }
+  run_banked(spec_, tiling_, a, b, c);
   return calib_.cycles;
 }
 
@@ -196,7 +159,7 @@ std::uint64_t MicroKernel::run_fast_half(const std::uint16_t* a,
   // Banks mirror the generated half code: bank `kui` accumulates the k-pair
   // p = i*ku + kui, the remainder pair j lands in bank j % ku, and banks
   // reduce into bank 0 ascending — bit-identical to the detailed core.
-  float* banks = scratch_f32(static_cast<std::size_t>(ku) * ld);
+  float* banks = scratch<float>(static_cast<std::size_t>(ku) * ld);
   for (int mm = 0; mm < ms; mm += mu) {
     const int mu_t = std::min(mu, ms - mm);
     for (int r = 0; r < mu_t; ++r) {

@@ -425,6 +425,8 @@ void GemmRuntime::worker_loop(int cluster) {
 void GemmRuntime::validate(const core::FtimmOptions& opt) const {
   FTM_EXPECTS(opt.cores >= 1 && opt.cores <= mc_.cores_per_cluster);
   FTM_EXPECTS(opt.wide_problem_flops > 0);
+  // Requests carry FP32 views; FP64 GEMMs go through core::dgemm().
+  FTM_EXPECTS(opt.dtype != kernelgen::DType::F64);
 }
 
 core::IntegrityOptions GemmRuntime::effective_integrity(
@@ -902,9 +904,6 @@ void GemmRuntime::process(int cluster, std::unique_ptr<Request> req,
     rs.strategy = result.strategy;
     rs.dtype = result.dtype;
     rs.strassen_levels = result.strassen_levels;
-    if (result.dtype != kernelgen::DType::F32) {
-      FTM_TRACE_COUNTER("kernel.dtype", static_cast<int>(result.dtype));
-    }
     if (result.strassen_levels > 0) {
       FTM_TRACE_COUNTER("strassen.levels", result.strassen_levels);
     }

@@ -39,6 +39,7 @@ void check_dgemm(const Shape& s, int cores) {
       engine(),
       DGemmInput::bound(a.data(), b.data(), c.data(), s.m, s.n, s.k), opt);
   EXPECT_GT(r.cycles, 0u);
+  EXPECT_EQ(r.dtype, kernelgen::DType::F64);
   double worst = 0;
   for (std::size_t i = 0; i < c.size(); ++i) {
     const double denom = std::max(1.0, std::abs(expect[i]));
@@ -66,6 +67,30 @@ TEST(Dgemm, RejectsWideN) {
   opt.functional = false;
   EXPECT_THROW(dgemm(engine(), DGemmInput::shape_only(128, 49, 64), opt),
                ContractViolation);
+}
+
+TEST(Dgemm, ReportsF64) {
+  FtimmOptions opt;
+  opt.functional = false;
+  const GemmResult r =
+      dgemm(engine(), DGemmInput::shape_only(256, 16, 64), opt);
+  EXPECT_EQ(r.dtype, kernelgen::DType::F64);
+  EXPECT_EQ(r.strategy, Strategy::ParallelM);
+}
+
+TEST(Dgemm, Fp32EntryPointsRejectF64) {
+  // The FP32-view entry points cannot carry FP64 data: an F64 request
+  // must fail loudly instead of silently running FP32.
+  FtimmOptions opt;
+  opt.functional = false;
+  opt.dtype = kernelgen::DType::F64;
+  const GemmInput in = GemmInput::shape_only(256, 16, 64);
+  EXPECT_THROW(engine().plan(in.m, in.n, in.k, opt), ContractViolation);
+  EXPECT_THROW(engine().sgemm(in, opt), ContractViolation);
+  FtimmOptions f32 = opt;
+  f32.dtype = kernelgen::DType::F32;
+  const GemmPlan plan = engine().plan(in.m, in.n, in.k, f32);
+  EXPECT_THROW(engine().sgemm_planned(in, plan, opt), ContractViolation);
 }
 
 TEST(Dgemm, EfficiencyAgainstFp64Peak) {

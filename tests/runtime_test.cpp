@@ -432,6 +432,21 @@ TEST(Runtime, RejectsNonPositiveWideThreshold) {
   EXPECT_THROW(rt.run_all(one, opt), ContractViolation);
 }
 
+TEST(Runtime, RejectsF64OnTheFp32Entry) {
+  // Requests carry FP32 views; an F64 request must fail loudly instead of
+  // silently running FP32 (FP64 GEMMs go through core::dgemm).
+  RuntimeOptions ro;
+  ro.clusters = 1;
+  GemmRuntime rt(ro);
+  FtimmOptions opt;
+  opt.functional = false;
+  opt.dtype = kernelgen::DType::F64;
+  EXPECT_THROW(rt.submit(GemmInput::shape_only(64, 8, 8), opt),
+               ContractViolation);
+  std::vector<GemmInput> one{GemmInput::shape_only(64, 8, 8)};
+  EXPECT_THROW(rt.run_all(one, opt), ContractViolation);
+}
+
 TEST(Runtime, WorkerExceptionsPropagateThroughFuture) {
   RuntimeOptions ro;
   ro.clusters = 2;

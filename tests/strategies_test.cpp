@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "ftm/core/dgemm.hpp"
 #include "ftm/core/ftimm.hpp"
 #include "ftm/cpu/cpu_gemm.hpp"
 #include "ftm/util/prng.hpp"
+#include "ftm/util/task_pool.hpp"
 #include "ftm/workload/generators.hpp"
 
 namespace ftm::core {
@@ -135,6 +140,135 @@ TEST(Strategies, TimingOnlyAgreesWithFunctionalCycles) {
   EXPECT_EQ(rf.ddr_bytes, rt.ddr_bytes);
   EXPECT_EQ(rf.kernel_calls, rt.kernel_calls);
 }
+
+// --- Golden cross-dtype M-parallel runs -------------------------------------
+//
+// One Algorithm-4 loop nest serves F32, F64 and the half formats, so a
+// change to it (or to the block solver) must leave every dtype's cycles,
+// DDR traffic, kernel-call count and C bits exactly where they were.
+// The expected values were recorded before the dtype copies were folded
+// into one nest; each case runs timing-only, functional inline, and
+// functional on a 4-thread pool, and all three must agree with them.
+
+struct Golden {
+  kernelgen::DType dtype;
+  std::size_t m, n, k;
+  int cores;
+  std::uint64_t cycles, ddr_bytes, kernel_calls, c_hash;
+};
+
+struct Observed {
+  std::uint64_t cycles, ddr_bytes, kernel_calls, c_hash;
+};
+
+/// FNV-1a over the bytes of C.
+template <class T>
+std::uint64_t hash_bits(const std::vector<T>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+  for (std::size_t i = 0; i < v.size() * sizeof(T); ++i) {
+    h = (h ^ p[i]) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+Observed run_golden(const Golden& g, bool functional, TaskPool* pool) {
+  FtimmOptions opt;
+  opt.cores = g.cores;
+  opt.functional = functional;
+  opt.host_pool = pool;
+  opt.force = Strategy::ParallelM;
+  Prng rng(g.m * 31 + g.n * 17 + g.k);
+  GemmResult r;
+  std::uint64_t hash = 0;
+  if (g.dtype == kernelgen::DType::F64) {
+    std::vector<double> a(g.m * g.k), b(g.k * g.n), c(g.m * g.n);
+    for (auto* v : {&a, &b, &c})
+      for (double& x : *v) x = rng.next_float(-1, 1);
+    DGemmInput in = DGemmInput::shape_only(g.m, g.n, g.k);
+    if (functional) {
+      in = DGemmInput::bound(a.data(), b.data(), c.data(), g.m, g.n, g.k);
+    }
+    r = dgemm(engine(), in, opt);
+    if (functional) hash = hash_bits(c);
+  } else {
+    opt.dtype = g.dtype;
+    std::vector<float> a(g.m * g.k), b(g.k * g.n), c(g.m * g.n);
+    for (auto* v : {&a, &b, &c})
+      for (float& x : *v) x = rng.next_float(-1, 1);
+    GemmInput in = GemmInput::shape_only(g.m, g.n, g.k);
+    if (functional) {
+      in = GemmInput::bound(ConstMatrixView(a.data(), g.m, g.k, g.k),
+                            ConstMatrixView(b.data(), g.k, g.n, g.n),
+                            MatrixView(c.data(), g.m, g.n, g.n));
+    }
+    r = engine().sgemm(in, opt);
+    if (functional) hash = hash_bits(c);
+  }
+  EXPECT_EQ(r.strategy, Strategy::ParallelM);
+  return {r.cycles, r.ddr_bytes, r.kernel_calls, hash};
+}
+
+class GoldenCrossDtype : public ::testing::TestWithParam<Golden> {};
+
+TEST_P(GoldenCrossDtype, CyclesTrafficAndBitsUnchanged) {
+  const Golden& g = GetParam();
+  static TaskPool pool(4);
+  const Observed timing = run_golden(g, false, nullptr);
+  const Observed inline_run = run_golden(g, true, nullptr);
+  const Observed pooled = run_golden(g, true, &pool);
+  for (const Observed& o : {timing, inline_run, pooled}) {
+    EXPECT_EQ(o.cycles, g.cycles);
+    EXPECT_EQ(o.ddr_bytes, g.ddr_bytes);
+    EXPECT_EQ(o.kernel_calls, g.kernel_calls);
+  }
+  EXPECT_EQ(inline_run.c_hash, g.c_hash);
+  EXPECT_EQ(pooled.c_hash, g.c_hash);
+}
+
+using kernelgen::DType;
+const Golden kGolden[] = {
+    // F32: N tails 17 / 96 / 200 (two N tiles), M and K tails, and
+    // K = 9000 > k_g (two B panels).
+    {DType::F32, 1000, 17, 333, 1, 180790, 1490644, 125, 0xbd3e9698fd61da3e},
+    {DType::F32, 1000, 17, 333, 8, 78393, 1490644, 125, 0xbd3e9698fd61da3e},
+    {DType::F32, 515, 96, 1100, 1, 657993, 3479440, 130, 0x5f67114efba35786},
+    {DType::F32, 515, 96, 1100, 8, 316218, 3479440, 130, 0x5f67114efba35786},
+    {DType::F32, 301, 200, 700, 1, 602867, 3570000, 114, 0xb68eea1d7dd319b6},
+    {DType::F32, 301, 200, 700, 8, 363364, 3570000, 114, 0xb68eea1d7dd319b6},
+    {DType::F32, 40, 96, 9000, 1, 593754, 4957440, 55, 0x6eb91a537a5f4ca8},
+    {DType::F32, 40, 96, 9000, 8, 942620, 4957440, 55, 0x6eb91a537a5f4ca8},
+    // F64: N tails 5 / 33 / 48, K tails past k_a = 512, two B panels.
+    {DType::F64, 333, 5, 1300, 1, 452153, 3568480, 126, 0x5a88482aeaed14ab},
+    {DType::F64, 333, 5, 1300, 8, 184218, 3568480, 126, 0x5a88482aeaed14ab},
+    {DType::F64, 257, 33, 700, 1, 210478, 1895392, 66, 0xcbf910329c2cdd9d},
+    {DType::F64, 257, 33, 700, 8, 148784, 1895392, 66, 0xcbf910329c2cdd9d},
+    {DType::F64, 130, 48, 1030, 1, 177116, 1666400, 51, 0xb99aac8efa0a6772},
+    {DType::F64, 130, 48, 1030, 8, 182047, 1666400, 51, 0xb99aac8efa0a6772},
+    {DType::F64, 45, 48, 9000, 1, 650462, 6765120, 108, 0x4afdffea09f2c98e},
+    {DType::F64, 45, 48, 9000, 8, 1190349, 6765120, 108, 0x4afdffea09f2c98e},
+    // Halves: N tails 7 / 96, K padded up to a multiple of 4, two B
+    // panels at K = 17003.
+    {DType::F16, 333, 7, 1030, 1, 102508, 739056, 84, 0x000253ce0663cd23},
+    {DType::F16, 333, 7, 1030, 8, 44217, 739056, 84, 0x000253ce0663cd23},
+    {DType::F16, 129, 96, 601, 1, 58503, 469944, 22, 0x12bb7f5bb439b4aa},
+    {DType::F16, 129, 96, 601, 8, 55636, 469944, 22, 0x12bb7f5bb439b4aa},
+    {DType::F16, 19, 96, 17003, 1, 391349, 3940104, 68, 0x49b50714a96e863b},
+    {DType::F16, 19, 96, 17003, 8, 485984, 3940104, 68, 0x49b50714a96e863b},
+    {DType::BF16, 333, 7, 1030, 1, 102508, 739056, 84, 0xf8b1700425370d4d},
+    {DType::BF16, 333, 7, 1030, 8, 44217, 739056, 84, 0xf8b1700425370d4d},
+    {DType::BF16, 129, 96, 601, 1, 58503, 469944, 22, 0xcffea342ffa6fbb2},
+    {DType::BF16, 129, 96, 601, 8, 55636, 469944, 22, 0xcffea342ffa6fbb2},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllDtypes, GoldenCrossDtype, ::testing::ValuesIn(kGolden),
+    [](const ::testing::TestParamInfo<Golden>& info) {
+      const Golden& g = info.param;
+      return std::string(kernelgen::to_string(g.dtype)) + "_" +
+             std::to_string(g.m) + "x" + std::to_string(g.n) + "x" +
+             std::to_string(g.k) + "_c" + std::to_string(g.cores);
+    });
 
 // --- Dispatcher -------------------------------------------------------------
 

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "ftm/core/dgemm.hpp"
 #include "ftm/core/ftimm.hpp"
 #include "ftm/runtime/runtime.hpp"
 #include "ftm/trace/chrome.hpp"
@@ -349,6 +350,40 @@ TEST(GoldenTrace, CountersMatchGemmResult) {
   EXPECT_EQ(kernel_spans, r.result.kernel_calls);
   // The whole-GEMM cluster span carries the result's cycle count.
   EXPECT_EQ(r.counters.value("gemm.cycles"), r.result.cycles);
+}
+
+TEST(GoldenTrace, EveryDtypeCountsItsLoopNestRuns) {
+  // FP16 N = 200 runs as three 96-column panels, each one run of the
+  // shared M-parallel loop nest: gemm.calls counts the runs, and
+  // kernel.dtype (F16 = 2) is emitted once per run and nowhere else.
+  core::FtimmEngine eng;
+  FtimmOptions opt;
+  opt.functional = false;
+  opt.dtype = kernelgen::DType::F16;
+  TraceSession session;
+  session.start();
+  const GemmResult r = eng.sgemm(GemmInput::shape_only(4096, 200, 1024), opt);
+  session.stop();
+  const CounterRegistry c = session.counters();
+  EXPECT_EQ(c.value("gemm.calls"), 3u);
+  EXPECT_EQ(c.value("kernel.dtype"), 2 * c.value("gemm.calls"));
+  EXPECT_EQ(c.value("kernel.calls"), r.kernel_calls);
+  EXPECT_TRUE(c.has("stall.dma_wait_cycles"));
+  EXPECT_EQ(c.value("ddr.read_bytes") + c.value("ddr.write_bytes"),
+            r.ddr_bytes);
+
+  FtimmOptions dopt;
+  dopt.functional = false;
+  TraceSession dsession;
+  dsession.start();
+  const GemmResult d =
+      core::dgemm(eng, core::DGemmInput::shape_only(4096, 48, 1024), dopt);
+  dsession.stop();
+  const CounterRegistry dc = dsession.counters();
+  EXPECT_EQ(dc.value("gemm.calls"), 1u);
+  EXPECT_EQ(dc.value("gemm.cycles"), d.cycles);
+  EXPECT_EQ(dc.value("kernel.dtype"), 1u);  // F64
+  EXPECT_EQ(dc.value("kernel.calls"), d.kernel_calls);
 }
 
 TEST(GoldenTrace, DmaSpansSerializePerEngine) {
