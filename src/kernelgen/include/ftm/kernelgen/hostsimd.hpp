@@ -1,13 +1,21 @@
 // Host SIMD fast paths for the functional micro-kernel and the strategy
 // reduction loops (docs/performance.md).
 //
-// Every primitive here is elementwise: element x of the output depends
-// only on element x of the inputs, through exactly one IEEE-754 operation
-// (a fused multiply-add or an addition). A vectorized implementation
-// therefore produces bit-identical results to the scalar loop — AVX2
-// vfmadd/NEON vfma are single-rounding fused ops exactly like std::fmaf —
-// so the dispatch tier can change freely without changing a single output
-// bit. Tests (host_exec_test) enforce this on every supported tier.
+// Two kinds of entry point live here:
+//   - replay_*: the host replay of one generated micro-kernel. One
+//     register-tiled loop nest, written once as a template over per-tier
+//     lane traits, serves every dtype and tier. It keeps a tile of rows x
+//     column vectors x k_u banks of accumulators in registers for the whole
+//     k loop. Every output element still gets exactly the FMA chain the
+//     VLIW core computes: tiling only reorders *independent* chains, so C
+//     is bit-identical to the detailed simulation on every tier.
+//   - add_f32/add_f64/relu_f32: elementwise helpers. Element x of the
+//     output depends only on element x of the inputs, through exactly one
+//     IEEE-754 operation, so every tier gives the same bits.
+// Vector FMAs (AVX2 vfmadd, NEON vfma) round once, exactly like
+// std::fmaf/std::fma, which is why the dispatch tier can change freely
+// without changing a single output bit. Tests (microkernel_test,
+// host_exec_test) enforce this on every supported tier.
 //
 // Dispatch is decided at runtime from CPUID (x86) or baked in (NEON is
 // baseline on AArch64); the AVX2 bodies are compiled with per-function
@@ -31,7 +39,7 @@ const char* to_string(Tier t);
 /// Best tier this host supports (detected once, then cached).
 Tier best_tier();
 
-/// Tier the primitives currently dispatch to; defaults to best_tier().
+/// Tier the entry points currently dispatch to; defaults to best_tier().
 Tier active_tier();
 
 /// Forces a tier (tests/benchmarks); unsupported tiers clamp to Scalar.
@@ -40,16 +48,44 @@ Tier set_active_tier(Tier t);
 
 /// Every entry point below validates its operands the way sgemm does —
 /// null arrays with a non-zero length throw ftm::ContractViolation rather
-/// than silently reading through nullptr (the asserts-only gap ISSUE 6's
-/// bugfix sweep closed).
+/// than silently reading through nullptr.
 
-/// acc[x] = fma(a, x_[x], acc[x]) for x in [0, n) — the micro-kernel's
-/// bank-accumulate step (one A element against one padded B/C row).
-void fmadd_f32(float* acc, float a, const float* x_, std::size_t n);
-void fmadd_f64(double* acc, double a, const double* x_, std::size_t n);
+/// Shape of one micro-kernel replay. A is row-major with `steps` k steps
+/// per row (two halves per step for F16/BF16, whose row pitch is the
+/// even-padded ka); B has `steps` rows and C has `rows` rows, both with
+/// row pitch `ld` (vn * lanes elements; pair words for half B).
+struct ReplayShape {
+  int rows = 0;   ///< rows of A and C (KernelSpec::ms)
+  int steps = 0;  ///< k steps; k *pairs* for the half formats
+  int ku = 1;     ///< accumulator banks (Tiling::ku), 1..4
+  int ld = 0;     ///< B/C row pitch in elements
+  bool load_c = true;
+};
 
-/// acc[x] += x_[x] for x in [0, n) — bank reduction / GSM partial merge,
-/// and the graph executor's elementwise add/bias ops.
+/// C = (load_c ? C : 0) + A * B with the generated kernel's FMA order:
+/// bank `kui` accumulates k = i*ku + kui in ascending k (so a K remainder
+/// step j lands in bank j % ku), and banks 1..ku-1 are added into bank 0
+/// in ascending order. All ld columns are computed, pad lanes included.
+void replay_f32(const float* a, const float* b, float* c,
+                const ReplayShape& s);
+void replay_f64(const double* a, const double* b, double* c,
+                const ReplayShape& s);
+
+/// Half replay — the host side of VFMULAH32. Each b word packs a k-adjacent
+/// half pair (lo16 = even k, hi16 = odd k); per element and k pair
+///   acc = fma(widen(a1), widen(b.hi), fma(widen(a0), widen(b.lo), acc))
+/// with the low pair's FMA strictly first. Widening is exact on every tier
+/// (F16C VCVTPH2PS / bf16 shift == ftm::util conversions), so all tiers are
+/// bit-identical for finite and subnormal operands. The AVX2 tier of F16
+/// additionally requires F16C at runtime and runs the scalar tier without
+/// it; BF16 needs only AVX2+FMA.
+void replay_f16(const std::uint16_t* a, const std::uint32_t* b, float* c,
+                const ReplayShape& s);
+void replay_bf16(const std::uint16_t* a, const std::uint32_t* b, float* c,
+                 const ReplayShape& s);
+
+/// acc[x] += x_[x] for x in [0, n) — GSM partial merge, and the graph
+/// executor's elementwise add/bias ops.
 void add_f32(float* acc, const float* x_, std::size_t n);
 void add_f64(double* acc, const double* x_, std::size_t n);
 
@@ -57,20 +93,5 @@ void add_f64(double* acc, const double* x_, std::size_t n);
 /// ReLU. Defined via compare-and-mask on every tier, so NaN and -0.0
 /// inputs produce +0.0 identically under scalar, AVX2, and NEON dispatch.
 void relu_f32(float* x_, std::size_t n);
-
-/// 2-way half dot-product accumulate — the host replay of VFMULAH32.
-/// Each b[x] packs a k-adjacent half pair (lo16 = even k, hi16 = odd k);
-/// (a0, a1) is the matching broadcast A pair. Per element:
-///   acc[x] = fma(widen(a1), widen(b.hi), fma(widen(a0), widen(b.lo),
-///                acc[x]))
-/// with the low pair's FMA strictly first. Widening is exact on every
-/// tier (F16C VCVTPH2PS / bf16 shift == ftm::util conversions), so all
-/// tiers are bit-identical for finite and subnormal operands. The AVX2
-/// body of the f16 variant additionally requires F16C at runtime and
-/// falls back to scalar without it; bf16 needs only AVX2+FMA.
-void dot2_f16(float* acc, std::uint16_t a0, std::uint16_t a1,
-              const std::uint32_t* b, std::size_t n);
-void dot2_bf16(float* acc, std::uint16_t a0, std::uint16_t a1,
-               const std::uint32_t* b, std::size_t n);
 
 }  // namespace ftm::kernelgen::hostsimd

@@ -5,16 +5,15 @@
 // micro-kernels a plan needs are memoized in the engines' shared
 // KernelCache, so a plan hit also means no kernel generation.
 //
-// Thread-safe: readers take a shared lock; hit/miss counters are atomics
-// so the hot path never writes under the shared lock. Two threads missing
-// the same key concurrently both compute the (deterministic, identical)
-// plan and the second insert is a no-op.
+// Thread-safe: a hit takes only a shared lock, and the hit/miss counters
+// are atomics so the hot path never writes under it. A miss re-checks the
+// key under the write lock and plans there, so threads missing the same
+// key together plan it once and count one miss: misses == distinct keys.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <shared_mutex>
 
 #include "ftm/core/ftimm.hpp"
@@ -48,11 +47,11 @@ struct PlanKey {
 
 class PlanCache {
  public:
-  /// Returns the cached plan and counts a hit; nullopt counts a miss.
-  std::optional<core::GemmPlan> find(const PlanKey& key) const;
-
-  /// Inserts (first writer wins; duplicates are ignored).
-  void insert(const PlanKey& key, const core::GemmPlan& plan);
+  /// The cached plan for `key`, counting a hit (and setting *hit); on a
+  /// miss, `plan()` computes it once under the write lock, it is cached,
+  /// and one miss is counted.
+  template <class PlanFn>
+  core::GemmPlan get_or_plan(const PlanKey& key, PlanFn&& plan, bool* hit);
 
   std::size_t size() const;
   std::uint64_t hits() const { return hits_.load(); }
@@ -64,5 +63,30 @@ class PlanCache {
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
 };
+
+template <class PlanFn>
+core::GemmPlan PlanCache::get_or_plan(const PlanKey& key, PlanFn&& plan,
+                                      bool* hit) {
+  {
+    std::shared_lock lock(mu_);
+    const auto it = plans_.find(key);
+    if (it != plans_.end()) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      *hit = true;
+      return it->second;
+    }
+  }
+  std::unique_lock lock(mu_);
+  auto it = plans_.find(key);
+  if (it != plans_.end()) {  // planned by a racing miss meanwhile
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    *hit = true;
+    return it->second;
+  }
+  it = plans_.emplace(key, plan()).first;
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  *hit = false;
+  return it->second;
+}
 
 }  // namespace ftm::runtime

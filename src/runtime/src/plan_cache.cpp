@@ -2,24 +2,6 @@
 
 namespace ftm::runtime {
 
-std::optional<core::GemmPlan> PlanCache::find(const PlanKey& key) const {
-  {
-    std::shared_lock lock(mu_);
-    const auto it = plans_.find(key);
-    if (it != plans_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
-}
-
-void PlanCache::insert(const PlanKey& key, const core::GemmPlan& plan) {
-  std::unique_lock lock(mu_);
-  plans_.emplace(key, plan);  // no-op if a racing miss got here first
-}
-
 std::size_t PlanCache::size() const {
   std::shared_lock lock(mu_);
   return plans_.size();

@@ -365,8 +365,12 @@ void GemmRuntime::flusher_loop() {
       std::max(0.05, ro_.batching.max_delay_ms / 2));
   std::unique_lock<std::mutex> lock(flusher_mu_);
   for (;;) {
-    flusher_cv_.wait_for(lock, tick);
-    if (flusher_stop_) return;
+    // The predicate catches a stop requested before this thread first
+    // waits; a bare wait_for would miss that notify and sleep a full tick
+    // (days, for a size-only batcher) while the destructor joins.
+    if (flusher_cv_.wait_for(lock, tick, [this] { return flusher_stop_; })) {
+      return;
+    }
     lock.unlock();
     for (auto& f : batcher_->take_aged(std::chrono::steady_clock::now())) {
       dispatch_batch(std::move(f));
@@ -795,13 +799,10 @@ core::GemmResult GemmRuntime::run_on_cluster(int cluster, Request& req,
     rs.plan_cache_hit = true;
   } else if (ro_.plan_cache) {
     const PlanKey key = PlanKey::of(req.in.m, req.in.n, req.in.k, req.opt);
-    if (auto hit = plans_.find(key)) {
-      plan = *hit;
-      rs.plan_cache_hit = true;
-    } else {
-      plan = cs.engine->plan(req.in.m, req.in.n, req.in.k, req.opt);
-      plans_.insert(key, plan);
-    }
+    plan = plans_.get_or_plan(
+        key,
+        [&] { return cs.engine->plan(req.in.m, req.in.n, req.in.k, req.opt); },
+        &rs.plan_cache_hit);
   } else {
     plan = cs.engine->plan(req.in.m, req.in.n, req.in.k, req.opt);
   }
@@ -1044,21 +1045,25 @@ void GemmRuntime::handle_fault(int cluster, std::unique_ptr<Request> req,
       // cluster-independent.
       req->reuse_panel_bytes = 0;
       req->bound_cluster = target;
+      // A faulted dispatch with detections is an IntegrityError
+      // escalation: the re-dispatch recomputes the damaged block.
+      const bool recompute = rs.fault && rs.sdc_detected > 0;
+      // Count before the push publishes the retry: another worker can
+      // finish it and its caller read stats() before this thread resumes.
+      {
+        const std::lock_guard<std::mutex> lock(stats_mu_);
+        ++retries_;
+        if (recompute) ++recomputed_shards_;
+      }
       if (queue_.try_push(target, req)) {
-        {
-          const std::lock_guard<std::mutex> lock(stats_mu_);
-          ++retries_;
-          // A faulted dispatch with detections is an IntegrityError
-          // escalation: the re-dispatch recomputes the damaged block.
-          if (rs.fault && rs.sdc_detected > 0) ++recomputed_shards_;
-        }
         FTM_TRACE_COUNTER("runtime.retries", 1);
-        if (rs.fault && rs.sdc_detected > 0) {
-          FTM_TRACE_COUNTER("integrity.recomputed", 1);
-        }
+        if (recompute) FTM_TRACE_COUNTER("integrity.recomputed", 1);
         log_request(rs);  // the faulted attempt; the retry logs its own row
         return;
       }
+      const std::lock_guard<std::mutex> lock(stats_mu_);
+      --retries_;
+      if (recompute) --recomputed_shards_;
     }
   }
   // Retries exhausted, no healthy cluster left, or the queue shut down.

@@ -1,11 +1,17 @@
 #include "ftm/sim/scratchpad.hpp"
 
 #include <cstring>
+#include <new>
 
 namespace ftm::sim {
 
 Scratchpad::Scratchpad(std::string name, std::size_t capacity_bytes)
-    : name_(std::move(name)), bytes_(capacity_bytes, 0) {}
+    : name_(std::move(name)),
+      capacity_(capacity_bytes),
+      bytes_(static_cast<std::uint8_t*>(
+          std::calloc(capacity_bytes == 0 ? 1 : capacity_bytes, 1))) {
+  if (!bytes_) throw std::bad_alloc();
+}
 
 Region Scratchpad::alloc(std::size_t bytes) {
   const std::size_t aligned = (top_ + 63) & ~std::size_t{63};
@@ -23,12 +29,12 @@ void Scratchpad::reset() { top_ = 0; }
 
 std::uint8_t* Scratchpad::raw(std::size_t offset, std::size_t len) {
   FTM_EXPECTS(offset + len <= capacity());
-  return bytes_.data() + offset;
+  return bytes_.get() + offset;
 }
 
 const std::uint8_t* Scratchpad::raw(std::size_t offset, std::size_t len) const {
   FTM_EXPECTS(offset + len <= capacity());
-  return bytes_.data() + offset;
+  return bytes_.get() + offset;
 }
 
 float* Scratchpad::f32(std::size_t byte_offset, std::size_t count) {

@@ -207,6 +207,23 @@ TEST(Batch, DeterministicCompositionUnderFixedSeed) {
   EXPECT_EQ(first, second);
 }
 
+// A runtime destroyed right after construction must not wait out the
+// flusher's tick. A stop requested before the flusher thread first waited
+// used to be a lost wakeup: with a size-only batcher (tick = days) the
+// destructor's join hung. A hundred back-to-back runtimes hit that window
+// reliably before the fix, so a regression shows as this test timing out.
+TEST(Batch, ImmediateShutdownDoesNotWaitOutTheFlushTick) {
+  for (int i = 0; i < 100; ++i) {
+    RuntimeOptions ro;
+    ro.clusters = 1;
+    ro.host_threads = 1;
+    ro.gemm.functional = false;
+    ro.batching.enabled = true;
+    ro.batching.max_delay_ms = 1e9;
+    GemmRuntime rt(ro);
+  }
+}
+
 // Reject paths: submit() resolves an over-bound submission with a typed
 // FaultError(Rejected); try_submit() reports the reason with no future;
 // a deadline no history can meet rejects as DeadlineUnmeetable.

@@ -474,6 +474,11 @@ TEST(GraphExecutorTest, FaultInjectedNodeRetriesThroughRuntime) {
   ro.fault_injector = &injector;
   ro.resilience.enabled = true;
   ro.resilience.max_retries = 3;
+  // Each node is bound to the least-loaded cluster, cluster 0 on a tie.
+  // With stealing on, whether it runs there or is stolen by cluster 1's
+  // worker was a host-thread race, which faster host math made cluster 1
+  // win for all three nodes often enough to fail the check below.
+  ro.work_stealing = false;
   runtime::GemmRuntime rt(ro);
   GraphExecutor ex(rt);
   const GraphResult gr = ex.run(mlp.g, mlp.bindings());
@@ -502,11 +507,13 @@ TEST(GraphExecutorTest, FaultInjectedNodeRetriesThroughRuntime) {
 TEST(HostSimdValidation, NullArraysWithNonZeroLengthThrow) {
   float f = 1.0f;
   double d = 1.0;
-  EXPECT_THROW(kernelgen::hostsimd::fmadd_f32(nullptr, 2.0f, &f, 4),
+  kernelgen::hostsimd::ReplayShape one;
+  one.rows = 1;
+  one.steps = 1;
+  one.ld = 32;
+  EXPECT_THROW(kernelgen::hostsimd::replay_f32(nullptr, &f, &f, one),
                ContractViolation);
-  EXPECT_THROW(kernelgen::hostsimd::fmadd_f32(&f, 2.0f, nullptr, 4),
-               ContractViolation);
-  EXPECT_THROW(kernelgen::hostsimd::fmadd_f64(nullptr, 2.0, &d, 4),
+  EXPECT_THROW(kernelgen::hostsimd::replay_f64(&d, nullptr, &d, one),
                ContractViolation);
   EXPECT_THROW(kernelgen::hostsimd::add_f32(nullptr, &f, 4),
                ContractViolation);
@@ -515,7 +522,9 @@ TEST(HostSimdValidation, NullArraysWithNonZeroLengthThrow) {
   EXPECT_THROW(kernelgen::hostsimd::relu_f32(nullptr, 4),
                ContractViolation);
   // Zero-length calls are legal no-ops regardless of the pointers.
-  EXPECT_NO_THROW(kernelgen::hostsimd::fmadd_f32(nullptr, 2.0f, nullptr, 0));
+  one.rows = 0;
+  EXPECT_NO_THROW(
+      kernelgen::hostsimd::replay_f32(nullptr, nullptr, nullptr, one));
   EXPECT_NO_THROW(kernelgen::hostsimd::add_f32(nullptr, nullptr, 0));
   EXPECT_NO_THROW(kernelgen::hostsimd::relu_f32(nullptr, 0));
 }

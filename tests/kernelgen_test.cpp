@@ -9,6 +9,7 @@
 #include "ftm/kernelgen/spec.hpp"
 #include "ftm/sim/core.hpp"
 #include "ftm/util/prng.hpp"
+#include "microkernel_tester.hpp"
 
 namespace ftm::kernelgen {
 namespace {
@@ -185,43 +186,12 @@ INSTANTIATE_TEST_SUITE_P(
         ShapeCase{6, 129, 96}, ShapeCase{6, 127, 64}, ShapeCase{6, 511, 32},
         ShapeCase{8, 5, 32}, ShapeCase{10, 1, 96}, ShapeCase{6, 2, 64}));
 
+// Regression shapes of the F32 replay; microkernel_test sweeps the rest.
 TEST(FastPath, BitIdenticalToDetailed) {
   for (const ShapeCase s : {ShapeCase{6, 512, 96}, ShapeCase{8, 257, 64},
                             ShapeCase{6, 96, 32}, ShapeCase{11, 33, 96},
                             ShapeCase{9, 128, 17}}) {
-    SCOPED_TRACE("ms=" + std::to_string(s.ms) + " ka=" + std::to_string(s.ka) +
-                 " na=" + std::to_string(s.na));
-    const KernelSpec spec{s.ms, s.ka, s.na};
-    MicroKernel uk(spec, mc());
-    sim::DspCore core(mc());
-    const auto a = core.sm().alloc(spec.a_bytes());
-    const auto b = core.am().alloc(spec.b_bytes());
-    const auto c = core.am().alloc(spec.c_bytes());
-    const int ld = spec.am_row_floats();
-
-    Prng rng(999 + s.ms);
-    std::vector<float> fa(spec.ms * spec.ka), fb(spec.ka * ld),
-        fc(spec.ms * ld);
-    for (auto& v : fa) v = rng.next_float(-1, 1);
-    for (auto& v : fb) v = rng.next_float(-1, 1);
-    for (auto& v : fc) v = rng.next_float(-1, 1);
-
-    std::memcpy(core.sm().f32(a.offset, fa.size()), fa.data(),
-                fa.size() * 4);
-    std::memcpy(core.am().f32(b.offset, fb.size()), fb.data(),
-                fb.size() * 4);
-    std::memcpy(core.am().f32(c.offset, fc.size()), fc.data(),
-                fc.size() * 4);
-
-    uk.run_detailed(core, a.offset, b.offset, c.offset);
-    const std::uint64_t fast_cycles =
-        uk.run_fast(fa.data(), fb.data(), fc.data());
-
-    EXPECT_EQ(fast_cycles, uk.cycles());
-    const float* detailed = core.am().f32(c.offset, fc.size());
-    for (std::size_t i = 0; i < fc.size(); ++i) {
-      ASSERT_EQ(fc[i], detailed[i]) << "element " << i;
-    }
+    MicroKernelTester().ms(s.ms).ka(s.ka).na(s.na).test();
   }
 }
 

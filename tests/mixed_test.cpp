@@ -1,9 +1,9 @@
 // Mixed-precision tier + Strassen correctness (ISSUE 10,
 // docs/precision.md): FP16/BF16 GEMM against a double reference with
 // sqrt-law bounds, conversion edge cases (subnormals, NaN payloads, BF16
-// truncation-vs-RNE), detailed-vs-fast half kernel bit identity, hostsimd
-// dot2 tier identity, and the Strassen tolerance-not-memcmp policy at
-// 1/2/3 recursion levels.
+// truncation-vs-RNE), detailed-vs-fast half kernel bit identity, the half
+// replay's dot2 contract on every tier, and the Strassen
+// tolerance-not-memcmp policy at 1/2/3 recursion levels.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,6 +17,7 @@
 #include "ftm/util/half.hpp"
 #include "ftm/util/matrix.hpp"
 #include "ftm/util/prng.hpp"
+#include "microkernel_tester.hpp"
 
 namespace ftm::core {
 namespace {
@@ -140,91 +141,65 @@ TEST(HalfPacking, Bf16TruncationDiffersFromRne) {
   EXPECT_EQ(util::f32_to_bf16_trunc(tie_odd), 0x3F81u);
 }
 
-// ---- hostsimd dot2 tiers vs the scalar contract -------------------------
+// ---- the half replay vs the scalar dot2 contract ------------------------
 
-void check_dot2_tier(bool bf) {
-  // The dispatched tier (AVX2/F16C, NEON, or scalar) must match the
-  // documented scalar semantics bit-for-bit: low-pair FMA strictly first.
+void check_dot2_tier(DType dt) {
+  // One row, two k pairs: k_u = 2 puts pair 0 in bank 0 and pair 1 in
+  // bank 1, so every tier's replay must give, lane by lane,
+  //   fma(a1, b1, fma(a0, b0, c)) + fma(a3, b3, fma(a2, b2, 0))
+  // bit-for-bit — the documented VFMULAH32 semantics, low pair first.
+  const bool bf = dt == DType::BF16;
+  kernelgen::KernelSpec spec{1, 4, 96};
+  spec.dtype = dt;
+  const kernelgen::MicroKernel uk(spec, isa::default_machine());
+  ASSERT_EQ(uk.tiling().ku, 2);
+  const std::size_t ld = static_cast<std::size_t>(spec.am_row_elems());
   Prng rng(bf ? 77 : 42);
-  const std::size_t n = 97;  // odd length exercises the SIMD tail
-  std::vector<float> acc(n), ref(n);
-  std::vector<std::uint32_t> b(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    acc[i] = rng.next_float(-2, 2);
-    ref[i] = acc[i];
+  std::vector<std::uint16_t> a(4);
+  std::vector<std::uint32_t> b(2 * ld);
+  std::vector<float> c0(ld);
+  for (auto& v : a) v = util::f32_to_half(rng.next_float(-2, 2), bf);
+  for (std::size_t i = 0; i < b.size(); ++i) {
     // Mix magnitudes so some halves land subnormal after rounding.
     const float lo = rng.next_float(-1, 1) * (i % 7 == 0 ? 1e-6f : 1.0f);
     const float hi = rng.next_float(-1, 1);
     b[i] = util::f32_to_half(lo, bf) |
            (static_cast<std::uint32_t>(util::f32_to_half(hi, bf)) << 16);
   }
-  const std::uint16_t a0 = util::f32_to_half(0.3125f, bf);
-  const std::uint16_t a1 = util::f32_to_half(-1.75f, bf);
-  if (bf) {
-    kernelgen::hostsimd::dot2_bf16(acc.data(), a0, a1, b.data(), n);
-  } else {
-    kernelgen::hostsimd::dot2_f16(acc.data(), a0, a1, b.data(), n);
+  for (auto& v : c0) v = rng.next_float(-2, 2);
+  const auto w = [bf](std::uint32_t h) {
+    return util::half_to_f32(static_cast<std::uint16_t>(h & 0xFFFFu), bf);
+  };
+  const kernelgen::hostsimd::Tier prev = kernelgen::hostsimd::active_tier();
+  for (const auto tier : kernelgen::MicroKernelTester::tiers()) {
+    kernelgen::hostsimd::set_active_tier(tier);
+    std::vector<float> c = c0;
+    uk.run_fast_half(a.data(), b.data(), c.data());
+    for (std::size_t x = 0; x < ld; ++x) {
+      const float bank0 =
+          std::fmaf(w(a[1]), w(b[x] >> 16),
+                    std::fmaf(w(a[0]), w(b[x]), c0[x]));
+      const float bank1 = std::fmaf(
+          w(a[3]), w(b[ld + x] >> 16), std::fmaf(w(a[2]), w(b[ld + x]), 0.0f));
+      ASSERT_EQ(c[x], bank0 + bank1)
+          << "lane " << x << " tier " << kernelgen::hostsimd::to_string(tier);
+    }
   }
-  const float wa0 = util::half_to_f32(a0, bf);
-  const float wa1 = util::half_to_f32(a1, bf);
-  for (std::size_t i = 0; i < n; ++i) {
-    const float blo = util::half_to_f32(
-        static_cast<std::uint16_t>(b[i] & 0xFFFFu), bf);
-    const float bhi = util::half_to_f32(
-        static_cast<std::uint16_t>(b[i] >> 16), bf);
-    ref[i] = std::fmaf(wa1, bhi, std::fmaf(wa0, blo, ref[i]));
-    ASSERT_EQ(acc[i], ref[i]) << "lane " << i << (bf ? " bf16" : " f16");
-  }
+  kernelgen::hostsimd::set_active_tier(prev);
 }
 
-TEST(HostSimd, Dot2F16TierMatchesScalarContract) { check_dot2_tier(false); }
-TEST(HostSimd, Dot2Bf16TierMatchesScalarContract) { check_dot2_tier(true); }
+TEST(HostSimd, Dot2F16TierMatchesScalarContract) {
+  check_dot2_tier(DType::F16);
+}
+TEST(HostSimd, Dot2Bf16TierMatchesScalarContract) {
+  check_dot2_tier(DType::BF16);
+}
 
 // ---- detailed simulator vs fast path ------------------------------------
 
 TEST(HalfFastPath, BitIdenticalToDetailed) {
-  const auto& mc = isa::default_machine();
   for (const DType dt : {DType::F16, DType::BF16}) {
-    const bool bf = dt == DType::BF16;
-    SCOPED_TRACE(bf ? "bf16" : "f16");
-    kernelgen::KernelSpec spec{6, 64, 96};
-    spec.dtype = dt;
-    kernelgen::MicroKernel uk(spec, mc);
-    sim::DspCore core(mc);
-    const auto a = core.sm().alloc(spec.a_bytes());
-    const auto b = core.am().alloc(spec.b_bytes());
-    const auto c = core.am().alloc(spec.c_bytes());
-    const int ld = spec.am_row_elems();
-
-    Prng rng(1234 + (bf ? 1 : 0));
-    std::vector<std::uint16_t> ha(spec.ms * spec.ka);
-    std::vector<std::uint32_t> hb(spec.kpairs() * ld);
-    std::vector<float> hc(spec.ms * ld);
-    for (auto& v : ha) v = util::f32_to_half(rng.next_float(-1, 1), bf);
-    for (auto& v : hb) {
-      v = util::f32_to_half(rng.next_float(-1, 1), bf) |
-          (static_cast<std::uint32_t>(
-               util::f32_to_half(rng.next_float(-1, 1), bf))
-           << 16);
-    }
-    for (auto& v : hc) v = rng.next_float(-1, 1);
-
-    std::memcpy(core.sm().raw(a.offset, ha.size() * 2), ha.data(),
-                ha.size() * 2);
-    std::memcpy(core.am().raw(b.offset, hb.size() * 4), hb.data(),
-                hb.size() * 4);
-    std::memcpy(core.am().raw(c.offset, hc.size() * 4), hc.data(),
-                hc.size() * 4);
-
-    uk.run_detailed(core, a.offset, b.offset, c.offset);
-    const std::uint64_t fast_cycles =
-        uk.run_fast_half(ha.data(), hb.data(), hc.data());
-
-    EXPECT_EQ(fast_cycles, uk.cycles());
-    const float* detailed = core.am().f32(c.offset, hc.size());
-    for (std::size_t i = 0; i < hc.size(); ++i) {
-      ASSERT_EQ(hc[i], detailed[i]) << "element " << i;
-    }
+    kernelgen::MicroKernelTester().dtype(dt).ms(6).ka(64).na(96).test();
   }
 }
 

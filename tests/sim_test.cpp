@@ -50,6 +50,20 @@ TEST(Scratchpad, BoundsCheckedAccess) {
   EXPECT_THROW(sp.f32(2, 1), ContractViolation);  // misaligned
 }
 
+TEST(Scratchpad, FreshMemoryReadsZeroAndKeepsCapacityChecks) {
+  // GSM-sized, so the lazily mapped backing store is the one under test.
+  const std::size_t cap = 6u << 20;
+  Scratchpad sp("GSM", cap);
+  EXPECT_EQ(sp.capacity(), cap);
+  EXPECT_EQ(*sp.raw(0, 1), 0u);
+  EXPECT_EQ(*sp.raw(cap / 2, 1), 0u);
+  EXPECT_EQ(*sp.raw(cap - 1, 1), 0u);
+  EXPECT_THROW(sp.raw(cap - 1, 2), ContractViolation);
+  EXPECT_THROW(sp.alloc(cap + 1), ContractViolation);
+  EXPECT_EQ(sp.alloc(cap).offset, 0u);
+  EXPECT_THROW(sp.alloc(1), ContractViolation);
+}
+
 TEST(Dma, CostScalesWithBytesAndSharing) {
   const isa::MachineConfig mc;
   DmaRequest req;
