@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "ftm/util/assert.hpp"
@@ -118,8 +119,7 @@ void relu_f32_neon(float* x_, std::size_t n) {
 // One loop nest serves every dtype and tier. A lane traits struct L names
 // one (tier, dtype) pair:
 //   T        accumulator element (float or double), V a vector of kWidth Ts;
-//   B        element of a stored B row: T, or a uint32 half pair word;
-//   kPerWord k steps one B element carries (1, or 2 for a half pair);
+//   kPerWord k steps one B element carries (1, or 2 for a half pair word);
 //   kRegs    vector registers of the tier, which size the tile;
 //   zero/load/store/bcast/fma/add on V; for the halves also load_b, which
 //   widens kWidth pair words into two vectors (out[s] holds k step s of
@@ -175,11 +175,20 @@ constexpr TileShape tile_shape(int regs, int ku, int per_word) {
   return best;
 }
 
+/// What a stored A element and a B row element are: T itself, or for the
+/// half formats a 16-bit half and a 32-bit pair word.
+template <class L>
+using AElem =
+    std::conditional_t<L::kPerWord == 1, typename L::T, std::uint16_t>;
+template <class L>
+using BElem =
+    std::conditional_t<L::kPerWord == 1, typename L::T, std::uint32_t>;
+
 template <class L>
 struct Replay {
   using T = typename L::T;
   using V = typename L::V;
-  using B = typename L::B;
+  using B = BElem<L>;
   static constexpr int kW = L::kWidth;
   static constexpr int kS = L::kPerWord;
 
@@ -304,7 +313,6 @@ template <class T_>
 struct ScalarLanes {
   using T = T_;
   using V = T_;
-  using B = T_;
   static constexpr int kWidth = 1;
   static constexpr int kPerWord = 1;
   static constexpr int kRegs = 16;
@@ -318,9 +326,8 @@ struct ScalarLanes {
 
 template <float (*Widen)(std::uint16_t)>
 struct ScalarHalfLanes : ScalarLanes<float> {
-  using B = std::uint32_t;
   static constexpr int kPerWord = 2;
-  static void load_b(const B* p, V (&out)[2]) {
+  static void load_b(const std::uint32_t* p, V (&out)[2]) {
     out[0] = Widen(static_cast<std::uint16_t>(*p));
     out[1] = Widen(static_cast<std::uint16_t>(*p >> 16));
   }
@@ -329,36 +336,41 @@ struct ScalarHalfLanes : ScalarLanes<float> {
   }
 };
 
-// One entry per (tier, dtype). flatten inlines the whole nest into it, so
-// the traits' intrinsics compile under the entry's target attributes. The
-// half entries first widen A (exactly) into `aw`, once per call, so the
-// nest broadcasts plain floats.
-#define FTM_REPLAY_ENTRY(attrs, name, Lanes)                             \
-  attrs __attribute__((flatten)) void name(                              \
-      const Lanes::T* a, const Lanes::B* b, Lanes::T* c,                 \
-      const ReplayShape& s) {                                            \
-    Replay<Lanes>{a, b, c, s}.run();                                     \
-  }
-#define FTM_REPLAY_HALF_ENTRY(attrs, name, Lanes)                        \
-  attrs __attribute__((flatten)) void name(                              \
-      const std::uint16_t* a, const std::uint32_t* b, float* c,          \
-      const ReplayShape& s, float* aw) {                                 \
-    Lanes::widen(a, aw, static_cast<std::size_t>(s.rows) * s.steps * 2); \
-    Replay<Lanes>{aw, b, c, s}.run();                                    \
-  }
+using ScalarF32 = ScalarLanes<float>;
+using ScalarF64 = ScalarLanes<double>;
+using ScalarF16 = ScalarHalfLanes<util::f16_to_f32>;
+using ScalarBf16 = ScalarHalfLanes<util::bf16_to_f32>;
 
-FTM_REPLAY_ENTRY(, replay_scalar_f32, ScalarLanes<float>)
-FTM_REPLAY_ENTRY(, replay_scalar_f64, ScalarLanes<double>)
-FTM_REPLAY_HALF_ENTRY(, replay_scalar_f16, ScalarHalfLanes<util::f16_to_f32>)
-FTM_REPLAY_HALF_ENTRY(, replay_scalar_bf16,
-                      ScalarHalfLanes<util::bf16_to_f32>)
+// The nest for one (tier, dtype). The half formats first widen A (exactly)
+// into `aw`, once per call, so the nest broadcasts plain floats.
+template <class L>
+FTM_INLINE void replay_with(const AElem<L>* a, const BElem<L>* b,
+                            typename L::T* c, const ReplayShape& s,
+                            typename L::T* aw) {
+  if constexpr (L::kPerWord == 1) {
+    Replay<L>{a, b, c, s}.run();
+  } else {
+    L::widen(a, aw, static_cast<std::size_t>(s.rows) * s.steps * 2);
+    Replay<L>{aw, b, c, s}.run();
+  }
+}
+
+// One entry per tier. flatten inlines the whole nest into it, so the
+// traits' intrinsics compile under the entry's target attributes.
+template <class L>
+__attribute__((flatten)) void replay_portable(const AElem<L>* a,
+                                              const BElem<L>* b,
+                                              typename L::T* c,
+                                              const ReplayShape& s,
+                                              typename L::T* aw) {
+  replay_with<L>(a, b, c, s, aw);
+}
 
 #if defined(FTM_HOSTSIMD_X86)
 
 struct Avx2F32 {
   using T = float;
   using V = __m256;
-  using B = float;
   static constexpr int kWidth = 8;
   static constexpr int kPerWord = 1;
   static constexpr int kRegs = 16;
@@ -373,7 +385,6 @@ struct Avx2F32 {
 struct Avx2F64 {
   using T = double;
   using V = __m256d;
-  using B = double;
   static constexpr int kWidth = 4;
   static constexpr int kPerWord = 1;
   static constexpr int kRegs = 16;
@@ -387,9 +398,8 @@ struct Avx2F64 {
 
 // bf16 widens by a 16-bit shift into the top of a binary32 — exact.
 struct Avx2Bf16 : Avx2F32 {
-  using B = std::uint32_t;
   static constexpr int kPerWord = 2;
-  FTM_AVX2_FN static void load_b(const B* p, V (&out)[2]) {
+  FTM_AVX2_FN static void load_b(const std::uint32_t* p, V (&out)[2]) {
     const __m256i w = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
     out[0] = _mm256_castsi256_ps(_mm256_slli_epi32(w, 16));
     out[1] = _mm256_castsi256_ps(_mm256_and_si256(
@@ -410,9 +420,8 @@ struct Avx2Bf16 : Avx2F32 {
 
 // F16C widening (VCVTPH2PS) is exact, like util::f16_to_f32.
 struct Avx2F16 : Avx2F32 {
-  using B = std::uint32_t;
   static constexpr int kPerWord = 2;
-  FTM_F16C_FN static void load_b(const B* p, V (&out)[2]) {
+  FTM_F16C_FN static void load_b(const std::uint32_t* p, V (&out)[2]) {
     const __m256i w = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
     const __m128i lo = _mm256_castsi256_si128(w);
     const __m128i hi = _mm256_extracti128_si256(w, 1);
@@ -437,17 +446,29 @@ struct Avx2F16 : Avx2F32 {
   }
 };
 
-FTM_REPLAY_ENTRY(FTM_AVX2_FN, replay_avx2_f32, Avx2F32)
-FTM_REPLAY_ENTRY(FTM_AVX2_FN, replay_avx2_f64, Avx2F64)
-FTM_REPLAY_HALF_ENTRY(FTM_F16C_FN, replay_avx2_f16, Avx2F16)
-FTM_REPLAY_HALF_ENTRY(FTM_AVX2_FN, replay_avx2_bf16, Avx2Bf16)
+template <class L>
+FTM_AVX2_FN __attribute__((flatten)) void replay_avx2(const AElem<L>* a,
+                                                      const BElem<L>* b,
+                                                      typename L::T* c,
+                                                      const ReplayShape& s,
+                                                      typename L::T* aw) {
+  replay_with<L>(a, b, c, s, aw);
+}
+
+template <class L>
+FTM_F16C_FN __attribute__((flatten)) void replay_f16c(const AElem<L>* a,
+                                                      const BElem<L>* b,
+                                                      typename L::T* c,
+                                                      const ReplayShape& s,
+                                                      typename L::T* aw) {
+  replay_with<L>(a, b, c, s, aw);
+}
 
 #elif defined(FTM_HOSTSIMD_NEON)
 
 struct NeonF32 {
   using T = float;
   using V = float32x4_t;
-  using B = float;
   static constexpr int kWidth = 4;
   static constexpr int kPerWord = 1;
   static constexpr int kRegs = 32;
@@ -462,7 +483,6 @@ struct NeonF32 {
 struct NeonF64 {
   using T = double;
   using V = float64x2_t;
-  using B = double;
   static constexpr int kWidth = 2;
   static constexpr int kPerWord = 1;
   static constexpr int kRegs = 32;
@@ -475,9 +495,8 @@ struct NeonF64 {
 };
 
 struct NeonBf16 : NeonF32 {
-  using B = std::uint32_t;
   static constexpr int kPerWord = 2;
-  static void load_b(const B* p, V (&out)[2]) {
+  static void load_b(const std::uint32_t* p, V (&out)[2]) {
     const uint32x4_t w = vld1q_u32(p);
     out[0] = vreinterpretq_f32_u32(vshlq_n_u32(w, 16));
     out[1] = vreinterpretq_f32_u32(vandq_u32(w, vdupq_n_u32(0xFFFF0000u)));
@@ -492,15 +511,10 @@ struct NeonBf16 : NeonF32 {
   }
 };
 
-FTM_REPLAY_ENTRY(, replay_neon_f32, NeonF32)
-FTM_REPLAY_ENTRY(, replay_neon_f64, NeonF64)
-FTM_REPLAY_HALF_ENTRY(, replay_neon_bf16, NeonBf16)
-
 #if defined(__ARM_FP16_FORMAT_IEEE)
 struct NeonF16 : NeonF32 {
-  using B = std::uint32_t;
   static constexpr int kPerWord = 2;
-  static void load_b(const B* p, V (&out)[2]) {
+  static void load_b(const std::uint32_t* p, V (&out)[2]) {
     const uint32x4_t w = vld1q_u32(p);
     const uint16x4_t evens = vmovn_u32(vandq_u32(w, vdupq_n_u32(0xFFFF)));
     const uint16x4_t odds = vmovn_u32(vshrq_n_u32(w, 16));
@@ -515,8 +529,6 @@ struct NeonF16 : NeonF32 {
     for (; i < n; ++i) out[i] = util::f16_to_f32(h[i]);
   }
 };
-
-FTM_REPLAY_HALF_ENTRY(, replay_neon_f16, NeonF16)
 #endif
 
 #endif
@@ -631,11 +643,11 @@ void replay_f32(const float* a, const float* b, float* c,
   check(a, b, c, s);
   switch (active_tier()) {
 #if defined(FTM_HOSTSIMD_X86)
-    case Tier::Avx2: replay_avx2_f32(a, b, c, s); return;
+    case Tier::Avx2: replay_avx2<Avx2F32>(a, b, c, s, nullptr); return;
 #elif defined(FTM_HOSTSIMD_NEON)
-    case Tier::Neon: replay_neon_f32(a, b, c, s); return;
+    case Tier::Neon: replay_portable<NeonF32>(a, b, c, s, nullptr); return;
 #endif
-    default: replay_scalar_f32(a, b, c, s); return;
+    default: replay_portable<ScalarF32>(a, b, c, s, nullptr); return;
   }
 }
 
@@ -644,11 +656,11 @@ void replay_f64(const double* a, const double* b, double* c,
   check(a, b, c, s);
   switch (active_tier()) {
 #if defined(FTM_HOSTSIMD_X86)
-    case Tier::Avx2: replay_avx2_f64(a, b, c, s); return;
+    case Tier::Avx2: replay_avx2<Avx2F64>(a, b, c, s, nullptr); return;
 #elif defined(FTM_HOSTSIMD_NEON)
-    case Tier::Neon: replay_neon_f64(a, b, c, s); return;
+    case Tier::Neon: replay_portable<NeonF64>(a, b, c, s, nullptr); return;
 #endif
-    default: replay_scalar_f64(a, b, c, s); return;
+    default: replay_portable<ScalarF64>(a, b, c, s, nullptr); return;
   }
 }
 
@@ -660,16 +672,16 @@ void replay_f16(const std::uint16_t* a, const std::uint32_t* b, float* c,
 #if defined(FTM_HOSTSIMD_X86)
     case Tier::Avx2:
       if (f16c_supported()) {
-        replay_avx2_f16(a, b, c, s, aw);
+        replay_f16c<Avx2F16>(a, b, c, s, aw);
         return;
       }
       break;  // AVX2 without F16C: the scalar tier is the f16 reference
 #elif defined(FTM_HOSTSIMD_NEON) && defined(__ARM_FP16_FORMAT_IEEE)
-    case Tier::Neon: replay_neon_f16(a, b, c, s, aw); return;
+    case Tier::Neon: replay_portable<NeonF16>(a, b, c, s, aw); return;
 #endif
     default: break;
   }
-  replay_scalar_f16(a, b, c, s, aw);
+  replay_portable<ScalarF16>(a, b, c, s, aw);
 }
 
 void replay_bf16(const std::uint16_t* a, const std::uint32_t* b, float* c,
@@ -678,11 +690,11 @@ void replay_bf16(const std::uint16_t* a, const std::uint32_t* b, float* c,
   float* aw = widened_a(s);
   switch (active_tier()) {
 #if defined(FTM_HOSTSIMD_X86)
-    case Tier::Avx2: replay_avx2_bf16(a, b, c, s, aw); return;
+    case Tier::Avx2: replay_avx2<Avx2Bf16>(a, b, c, s, aw); return;
 #elif defined(FTM_HOSTSIMD_NEON)
-    case Tier::Neon: replay_neon_bf16(a, b, c, s, aw); return;
+    case Tier::Neon: replay_portable<NeonBf16>(a, b, c, s, aw); return;
 #endif
-    default: replay_scalar_bf16(a, b, c, s, aw); return;
+    default: replay_portable<ScalarBf16>(a, b, c, s, aw); return;
   }
 }
 
