@@ -254,13 +254,13 @@ struct Replay {
     for (; p + KU <= s.steps; p += KU) {
       FTM_UNROLL
       for (int u = 0; u < KU; ++u) {
-        step<R, CV>(acc[u], arow, lda, bcol, ld, p + u);
+        step<R, CV>(acc[u], arow, bcol, p + u);
       }
     }
     // K remainder: step p + u (p a multiple of KU) belongs to bank u.
     FTM_UNROLL
     for (int u = 0; u + 1 < KU; ++u) {
-      if (p + u < s.steps) step<R, CV>(acc[u], arow, lda, bcol, ld, p + u);
+      if (p + u < s.steps) step<R, CV>(acc[u], arow, bcol, p + u);
     }
     FTM_UNROLL
     for (int r = 0; r < R; ++r) {
@@ -279,11 +279,11 @@ struct Replay {
   // are loaded (and widened) once and shared by the R rows. For a pair,
   // every element's low-pair FMA runs before its high-pair FMA.
   template <int R, int CV>
-  FTM_INLINE static void step(V (&acc)[R][CV], const T* arow,
-                              std::size_t lda, const B* bcol, std::size_t ld,
-                              int p) {
+  FTM_INLINE void step(V (&acc)[R][CV], const T* arow, const B* bcol,
+                       int p) const {
+    const auto lda = static_cast<std::size_t>(s.steps) * kS;
     V bv[CV][kS];
-    const B* brow = bcol + static_cast<std::size_t>(p) * ld;
+    const B* brow = bcol + static_cast<std::size_t>(p) * s.ld;
     FTM_UNROLL
     for (int v = 0; v < CV; ++v) {
       if constexpr (kS == 1) {

@@ -799,10 +799,10 @@ core::GemmResult GemmRuntime::run_on_cluster(int cluster, Request& req,
     rs.plan_cache_hit = true;
   } else if (ro_.plan_cache) {
     const PlanKey key = PlanKey::of(req.in.m, req.in.n, req.in.k, req.opt);
-    plan = plans_.get_or_plan(
-        key,
-        [&] { return cs.engine->plan(req.in.m, req.in.n, req.in.k, req.opt); },
-        &rs.plan_cache_hit);
+    const auto make_plan = [&] {
+      return cs.engine->plan(req.in.m, req.in.n, req.in.k, req.opt);
+    };
+    plan = plans_.get_or_plan(key, make_plan, &rs.plan_cache_hit);
   } else {
     plan = cs.engine->plan(req.in.m, req.in.n, req.in.k, req.opt);
   }

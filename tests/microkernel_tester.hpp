@@ -28,12 +28,26 @@ namespace ftm::kernelgen {
 
 class MicroKernelTester {
  public:
-  MicroKernelTester& ms(int v) { spec_.ms = v; return *this; }
-  MicroKernelTester& ka(int v) { spec_.ka = v; return *this; }
-  MicroKernelTester& na(int v) { spec_.na = v; return *this; }
-  MicroKernelTester& load_c(bool v) { spec_.load_c = v; return *this; }
-  MicroKernelTester& dtype(DType v) { spec_.dtype = v; return *this; }
-  const KernelSpec& spec() const { return spec_; }
+  MicroKernelTester& ms(int v) {
+    spec_.ms = v;
+    return *this;
+  }
+  MicroKernelTester& ka(int v) {
+    spec_.ka = v;
+    return *this;
+  }
+  MicroKernelTester& na(int v) {
+    spec_.na = v;
+    return *this;
+  }
+  MicroKernelTester& load_c(bool v) {
+    spec_.load_c = v;
+    return *this;
+  }
+  MicroKernelTester& dtype(DType v) {
+    spec_.dtype = v;
+    return *this;
+  }
 
   /// Every tier the host supports; the scalar tier always.
   static std::vector<hostsimd::Tier> tiers() {
@@ -48,11 +62,7 @@ class MicroKernelTester {
   }
 
   void test() const {
-    SCOPED_TRACE(std::string(to_string(spec_.dtype)) +
-                 " ms=" + std::to_string(spec_.ms) +
-                 " ka=" + std::to_string(spec_.ka) +
-                 " na=" + std::to_string(spec_.na) +
-                 " load_c=" + std::to_string(spec_.load_c));
+    SCOPED_TRACE(describe());
     const isa::MachineConfig& mc = isa::default_machine();
     const MicroKernel uk(spec_, mc);
     std::vector<std::uint8_t> a(spec_.a_bytes()), b(spec_.b_bytes()),
@@ -77,14 +87,21 @@ class MicroKernelTester {
       EXPECT_EQ(cycles, uk.cycles()) << hostsimd::to_string(t);
       const std::size_t bad = first_mismatch(c.data(), detailed);
       EXPECT_EQ(bad, c.size() / acc_bytes(spec_.dtype))
-          << "tier " << hostsimd::to_string(t)
-          << ": first C element differing from run_detailed at index "
-          << bad;
+          << "tier " << hostsimd::to_string(t) << ": C differs at " << bad;
     }
     hostsimd::set_active_tier(prev);
   }
 
  private:
+  std::string describe() const {
+    std::string d = to_string(spec_.dtype);
+    d += " ms=" + std::to_string(spec_.ms);
+    d += " ka=" + std::to_string(spec_.ka);
+    d += " na=" + std::to_string(spec_.na);
+    return d + " load_c=" + std::to_string(spec_.load_c);
+  }
+
+  /// Index of the first C element that differs, or the element count.
   std::size_t first_mismatch(const std::uint8_t* x,
                              const std::uint8_t* y) const {
     const std::size_t w = acc_bytes(spec_.dtype);
@@ -104,7 +121,7 @@ class MicroKernelTester {
              static_cast<std::uint64_t>(spec_.ka) * 97u +
              static_cast<std::uint64_t>(spec_.na) * 7u +
              static_cast<std::uint64_t>(spec_.dtype));
-    const auto fill_as = [&rng](std::vector<std::uint8_t>& v, auto gen) {
+    const auto fill_as = [](std::vector<std::uint8_t>& v, auto gen) {
       using T = decltype(gen());
       for (std::size_t i = 0; i < v.size(); i += sizeof(T)) {
         const T x = gen();

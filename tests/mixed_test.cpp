@@ -176,12 +176,11 @@ void check_dot2_tier(DType dt) {
     std::vector<float> c = c0;
     uk.run_fast_half(a.data(), b.data(), c.data());
     for (std::size_t x = 0; x < ld; ++x) {
-      const float bank0 =
-          std::fmaf(w(a[1]), w(b[x] >> 16),
-                    std::fmaf(w(a[0]), w(b[x]), c0[x]));
-      const float bank1 = std::fmaf(
-          w(a[3]), w(b[ld + x] >> 16), std::fmaf(w(a[2]), w(b[ld + x]), 0.0f));
-      ASSERT_EQ(c[x], bank0 + bank1)
+      const float lo0 = std::fmaf(w(a[0]), w(b[x]), c0[x]);
+      const float bank0 = std::fmaf(w(a[1]), w(b[x] >> 16), lo0);
+      const float lo1 = std::fmaf(w(a[2]), w(b[ld + x]), 0.0f);
+      const float bank1 = std::fmaf(w(a[3]), w(b[ld + x] >> 16), lo1);
+      EXPECT_EQ(c[x], bank0 + bank1)
           << "lane " << x << " tier " << kernelgen::hostsimd::to_string(tier);
     }
   }

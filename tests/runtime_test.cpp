@@ -502,23 +502,21 @@ TEST(PlanCache, ConcurrentMissesOnOneKeyPlanOnce) {
   std::atomic<int> planned{0};
   std::atomic<int> ready{0};
   std::atomic<int> hits{0};
+  const auto plan_slowly = [&planned] {
+    planned.fetch_add(1);
+    // Hold the planning window open so the others arrive mid-miss.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    core::GemmPlan p;
+    p.strategy = core::Strategy::ParallelM;
+    return p;
+  };
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       ready.fetch_add(1);
       while (ready.load() < kThreads) std::this_thread::yield();
       bool hit = false;
-      const core::GemmPlan plan = cache.get_or_plan(
-          key,
-          [&] {
-            planned.fetch_add(1);
-            // Hold the planning window open so the others arrive mid-miss.
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-            core::GemmPlan p;
-            p.strategy = core::Strategy::ParallelM;
-            return p;
-          },
-          &hit);
+      const core::GemmPlan plan = cache.get_or_plan(key, plan_slowly, &hit);
       EXPECT_EQ(plan.strategy, core::Strategy::ParallelM);
       if (hit) hits.fetch_add(1);
     });
