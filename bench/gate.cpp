@@ -1,42 +1,41 @@
-// CI perf-regression gate (docs/tuning.md, ISSUE 4).
+// CI perf-regression gate (docs/tuning.md).
 //
 // Runs a fixed matrix of regular + irregular shapes through every
 // execution variant (TGEMM, forced M/K parallelization, the analytic
 // default plan, and the auto-tuned plan) on the deterministic simulator
 // and writes the cycle counts as JSON. Two layers of checking:
 //
-//  * internal gate (this binary): tuned must never be slower than the
+//  * internal gate (this experiment): tuned must never be slower than the
 //    analytic default on any shape, and must be >= 5% faster on at least
-//    three irregular shapes — the tentpole's acceptance criterion;
+//    three irregular shapes;
 //  * external gate (CI): tools/bench_compare.py diffs the JSON against
 //    the checked-in bench/baseline.json and fails on any >0.5% cycle
 //    regression. The simulator is bit-reproducible, so the gate is
 //    noise-free; refresh procedure in docs/tuning.md.
 //
-// The gate matrix also carries operator-graph chains (ISSUE 6): each is a
-// fixed layer chain run through the GraphExecutor with residency planning
-// on, emitted under variant "graph" (cycles) — plus the planned DDR bytes
+// The gate matrix also carries operator-graph chains: each is a fixed
+// layer chain run through the GraphExecutor with residency planning on,
+// emitted under variant "graph" (cycles) — plus the planned DDR bytes
 // under variant "graph_ddr" so a planner regression that re-inflates DDR
-// traffic fails the external gate exactly like a cycle regression.
+// traffic fails the external gate exactly like a cycle regression. The
+// node-layer scaling cycles follow as informational entries, so CI
+// compares one document.
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "ftm/core/ftimm.hpp"
 #include "ftm/graph/executor.hpp"
-#include "ftm/graph/graph.hpp"
 #include "ftm/runtime/runtime.hpp"
 #include "ftm/tune/tuner.hpp"
-#include "ftm/util/cli.hpp"
-#include "ftm/util/reporter.hpp"
+#include "harness.hpp"
 
-using namespace ftm;
+namespace ftm::bench {
+namespace {
+
 using core::FtimmOptions;
 using core::GemmInput;
 using core::Strategy;
-
-namespace {
 
 struct Shape {
   std::size_t m, n, k;
@@ -63,9 +62,7 @@ const std::vector<Shape> kShapes = {
 /// only (machine-dependent), never part of the cycle gate.
 std::uint64_t run_forced(core::FtimmEngine& eng, const Shape& s,
                          Strategy force, double& wall_us) {
-  FtimmOptions opt;
-  opt.cores = 8;
-  opt.functional = false;
+  FtimmOptions opt = timing_only();
   opt.force = force;
   try {
     const core::GemmResult r =
@@ -78,49 +75,10 @@ std::uint64_t run_forced(core::FtimmEngine& eng, const Shape& s,
   }
 }
 
-// ---- operator-graph chains (ISSUE 6) ------------------------------------
-
 struct GraphRow {
   const char* name;
   graph::GraphResult result;
 };
-
-graph::Graph make_gate_mlp(std::size_t rows,
-                           const std::vector<std::size_t>& dims) {
-  graph::Graph g;
-  graph::TensorId h = g.input("x", rows, dims[0]);
-  for (std::size_t l = 0; l + 1 < dims.size(); ++l) {
-    const std::string ln = "l" + std::to_string(l + 1);
-    const graph::TensorId w = g.input(ln + ".w", dims[l], dims[l + 1]);
-    const graph::TensorId b = g.input(ln + ".b", 1, dims[l + 1]);
-    h = g.bias_add(g.gemm(h, w, ln), b);
-    if (l + 2 < dims.size()) h = g.relu(h);
-  }
-  g.mark_output(h);
-  return g;
-}
-
-graph::Graph make_gate_gemm3(std::size_t m, std::size_t k, std::size_t n) {
-  graph::Graph g;
-  const graph::TensorId x = g.input("x", m, k);
-  const graph::TensorId w1 = g.input("w1", k, n);
-  const graph::TensorId w2 = g.input("w2", n, n);
-  const graph::TensorId w3 = g.input("w3", n, n);
-  g.mark_output(g.gemm(g.gemm(g.gemm(x, w1), w2), w3));
-  return g;
-}
-
-graph::Graph make_gate_conv(std::size_t in_ch, std::size_t hw,
-                            std::size_t out_ch) {
-  graph::Graph g;
-  graph::ConvParams p;
-  p.in_ch = in_ch;
-  p.height = p.width = hw;
-  const graph::TensorId img = g.input("img", p.batch * in_ch * hw, hw);
-  const graph::TensorId filters = g.input("filters", p.gemm_k(), out_ch);
-  g.mark_output(graph::conv2d(g, img, filters, p, "conv"));
-  return g;
-}
 
 /// Fixed chain matrix, timing-only, planning on. Do not reorder (the
 /// baseline JSON is diffed entry-by-entry, like kShapes).
@@ -132,10 +90,9 @@ std::vector<GraphRow> run_graph_chains() {
   graph::GraphOptions opt;
   opt.gemm.functional = false;
   std::vector<std::pair<const char*, graph::Graph>> chains;
-  chains.emplace_back("graph:mlp3-1847",
-                      make_gate_mlp(1847, {512, 256, 64, 10}));
-  chains.emplace_back("graph:gemm3-384x64", make_gate_gemm3(384, 64, 64));
-  chains.emplace_back("graph:conv-48x48x64", make_gate_conv(64, 48, 96));
+  chains.emplace_back("graph:mlp3-1847", mlp_chain(1847, {512, 256, 64, 10}));
+  chains.emplace_back("graph:gemm3-384x64", gemm3_chain(384, 64, 64));
+  chains.emplace_back("graph:conv-48x48x64", conv_chain(64, 48, 96, "conv"));
   std::vector<GraphRow> rows;
   for (auto& [name, g] : chains) {
     graph::GraphExecutor ex(rt, opt);
@@ -146,8 +103,7 @@ std::vector<GraphRow> run_graph_chains() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+int gate(const Cli& cli) {
   const std::string out = cli.get("out", "BENCH_ftimm.json");
   tune::TunerOptions to;
   to.budget = static_cast<int>(cli.get_int("budget", to.budget));
@@ -177,11 +133,8 @@ int main(int argc, char** argv) {
     r.pm = run_forced(eng, s, Strategy::ParallelM, r.wall[1]);
     r.pk = run_forced(eng, s, Strategy::ParallelK, r.wall[2]);
     r.def = run_forced(eng, s, Strategy::Auto, r.wall[3]);
-    FtimmOptions opt;
-    opt.cores = 8;
-    opt.functional = false;
     const core::GemmResult tr =
-        tuned_eng.sgemm(GemmInput::shape_only(s.m, s.n, s.k), opt);
+        tuned_eng.sgemm(GemmInput::shape_only(s.m, s.n, s.k), timing_only());
     r.tuned = tr.cycles;
     r.wall[4] = tr.host_wall_us;
     rows.push_back(r);
@@ -207,7 +160,7 @@ int main(int argc, char** argv) {
   }
   t.print("perf gate (simulated cycles)");
 
-  // ---- ABFT checksum overhead (ISSUE 8, docs/robustness.md) -------------
+  // ---- ABFT checksum overhead (docs/robustness.md) ----------------------
   // Verify-off cycles are what the 46 gated entries above measure — the
   // Off path never touches the abft layer, so those stay byte-identical.
   // These rows record what verify-on costs on one shape per irregular
@@ -221,9 +174,7 @@ int main(int argc, char** argv) {
   for (const std::size_t idx : {std::size_t{3}, std::size_t{6},
                                 std::size_t{7}}) {
     const Shape& s = kShapes[idx];
-    FtimmOptions opt;
-    opt.cores = 8;
-    opt.functional = false;
+    FtimmOptions opt = timing_only();
     const GemmInput in = GemmInput::shape_only(s.m, s.n, s.k);
     const std::uint64_t off = eng.sgemm(in, opt).cycles;
     opt.integrity.mode = core::IntegrityMode::Verify;
@@ -244,7 +195,7 @@ int main(int argc, char** argv) {
   }
   at.print("perf gate: ABFT checksum overhead (informational)");
 
-  // ---- mixed-precision tier + Strassen (ISSUE 10) -----------------------
+  // ---- mixed-precision tier + Strassen ----------------------------------
   // Gated like the FP32 matrix: the simulator is bit-reproducible, so any
   // drift in the half-kernel or Strassen cost model fails the external
   // gate. Half entries cover the compute-bound type-III shapes (where the
@@ -252,17 +203,15 @@ int main(int argc, char** argv) {
   // the one-level recursion past the measured crossover.
   struct MixedRow {
     Shape s;
-    std::uint64_t f16, bf16;
+    std::uint64_t def, f16, bf16;  ///< def: the FP32 default plan
     double wall[2];
   };
   std::vector<MixedRow> mixed_rows;
   for (const std::size_t idx : {std::size_t{0}, std::size_t{6},
                                 std::size_t{7}}) {
     const Shape& s = kShapes[idx];
-    MixedRow r{s, 0, 0, {}};
-    FtimmOptions opt;
-    opt.cores = 8;
-    opt.functional = false;
+    MixedRow r{s, rows[idx].def, 0, 0, {}};
+    FtimmOptions opt = timing_only();
     const GemmInput in = GemmInput::shape_only(s.m, s.n, s.k);
     opt.dtype = kernelgen::DType::F16;
     const core::GemmResult rf = eng.sgemm(in, opt);
@@ -274,9 +223,7 @@ int main(int argc, char** argv) {
     r.wall[1] = rb.host_wall_us;
     mixed_rows.push_back(r);
   }
-  FtimmOptions sopt;
-  sopt.cores = 8;
-  sopt.functional = false;
+  FtimmOptions sopt = timing_only();
   sopt.force = Strategy::Strassen;
   const Shape strassen_shape{16384, 16384, 16384, false};
   const core::GemmResult strassen_r = eng.sgemm(
@@ -285,20 +232,14 @@ int main(int argc, char** argv) {
       sopt);
   Table mt({"M", "N", "K", "f32 default", "f16", "bf16", "half speedup"});
   for (const MixedRow& r : mixed_rows) {
-    std::uint64_t def = 0;
-    for (const Row& fr : rows) {
-      if (fr.s.m == r.s.m && fr.s.n == r.s.n && fr.s.k == r.s.k) {
-        def = fr.def;
-      }
-    }
     mt.begin_row()
         .cell(r.s.m)
         .cell(r.s.n)
         .cell(r.s.k)
-        .cell(static_cast<std::size_t>(def))
+        .cell(static_cast<std::size_t>(r.def))
         .cell(static_cast<std::size_t>(r.f16))
         .cell(static_cast<std::size_t>(r.bf16))
-        .cell(static_cast<double>(def) / static_cast<double>(r.f16), 2);
+        .cell(static_cast<double>(r.def) / static_cast<double>(r.f16), 2);
   }
   mt.print("perf gate: mixed-precision tier (strassen@16384^3: " +
            std::to_string(strassen_r.cycles) + " cycles, " +
@@ -316,22 +257,15 @@ int main(int argc, char** argv) {
   }
   gt.print("perf gate: operator-graph chains (residency planning on)");
 
-  std::ofstream f(out);
-  if (!f) {
-    std::fprintf(stderr, "perf_gate: cannot write %s\n", out.c_str());
-    return 1;
-  }
-  f << "{\n  \"schema\": 1,\n  \"entries\": [\n";
-  bool first = true;
+  std::vector<GateEntry> entries;
   // wall_us is informational (host-dependent): bench_compare.py prints
   // its drift but only cycles can fail the gate.
   const auto emit = [&](const Shape& s, const char* variant,
                         std::uint64_t cycles, double wall_us) {
-    if (!first) f << ",\n";
-    first = false;
-    f << "    {\"shape\": \"" << s.m << "x" << s.n << "x" << s.k
-      << "\", \"variant\": \"" << variant << "\", \"cycles\": " << cycles
-      << ", \"wall_us\": " << static_cast<std::uint64_t>(wall_us) << "}";
+    entries.push_back({.shape = shape_key(s.m, s.n, s.k),
+                       .variant = variant,
+                       .cycles = cycles,
+                       .wall_us = static_cast<std::uint64_t>(wall_us)});
   };
   for (const Row& r : rows) {
     emit(r.s, "tgemm", r.tgemm, r.wall[0]);
@@ -343,17 +277,15 @@ int main(int argc, char** argv) {
   // Graph chains: cycles under "graph", planned DDR bytes under
   // "graph_ddr" (in the cycles field — bench_compare.py gates any growth
   // beyond tolerance, which is exactly the planner-regression check).
-  const auto emit_named = [&](const char* name, const char* variant,
-                              std::uint64_t value, double wall_us) {
-    if (!first) f << ",\n";
-    first = false;
-    f << "    {\"shape\": \"" << name << "\", \"variant\": \"" << variant
-      << "\", \"cycles\": " << value
-      << ", \"wall_us\": " << static_cast<std::uint64_t>(wall_us) << "}";
-  };
   for (const GraphRow& r : graph_rows) {
-    emit_named(r.name, "graph", r.result.cycles, r.result.host_wall_us);
-    emit_named(r.name, "graph_ddr", r.result.ddr_bytes, 0);
+    entries.push_back({.shape = r.name,
+                       .variant = "graph",
+                       .cycles = r.result.cycles,
+                       .wall_us = static_cast<std::uint64_t>(
+                           r.result.host_wall_us)});
+    entries.push_back({.shape = r.name,
+                       .variant = "graph_ddr",
+                       .cycles = r.result.ddr_bytes});
   }
   // Mixed-precision tier + Strassen: gated (bit-reproducible cycle model).
   for (const MixedRow& r : mixed_rows) {
@@ -366,21 +298,21 @@ int main(int argc, char** argv) {
   // can never fail on it (checksum-cost-model changes are policy, not
   // regressions; the gated entries above already pin the verify-off
   // cycle model to 0.0% drift).
-  const auto emit_info = [&](const Shape& s, const char* variant,
-                             std::uint64_t cycles) {
-    if (!first) f << ",\n";
-    first = false;
-    f << "    {\"shape\": \"" << s.m << "x" << s.n << "x" << s.k
-      << "\", \"variant\": \"" << variant << "\", \"cycles\": " << cycles
-      << ", \"informational\": true}";
-  };
   for (const AbftRow& r : abft_rows) {
-    emit_info(r.s, "abft_off", r.off);
-    emit_info(r.s, "abft_verify", r.on);
+    const std::string shape = shape_key(r.s.m, r.s.n, r.s.k);
+    entries.push_back({.shape = shape,
+                       .variant = "abft_off",
+                       .cycles = r.off,
+                       .informational = true});
+    entries.push_back({.shape = shape,
+                       .variant = "abft_verify",
+                       .cycles = r.on,
+                       .informational = true});
   }
-  f << "\n  ]\n}\n";
-  f.close();
-  std::printf("wrote %s\n", out.c_str());
+  // Node-layer scaling, informational (see nodes.cpp).
+  node_scaling(2048, 2048, entries)
+      .print("perf gate: node scaling (informational)");
+  if (!write_gate_json(out, entries)) return 1;
 
   // Internal gate.
   int failures = 0;
@@ -422,13 +354,7 @@ int main(int argc, char** argv) {
     }
   }
   for (const MixedRow& r : mixed_rows) {
-    std::uint64_t def = 0;
-    for (const Row& fr : rows) {
-      if (fr.s.m == r.s.m && fr.s.n == r.s.n && fr.s.k == r.s.k) {
-        def = fr.def;
-      }
-    }
-    if (r.f16 >= def || r.bf16 >= def) {
+    if (r.f16 >= r.def || r.bf16 >= r.def) {
       std::fprintf(stderr,
                    "GATE FAIL: half tier not faster than f32 default on "
                    "%zux%zux%zu\n",
@@ -460,3 +386,5 @@ int main(int argc, char** argv) {
   }
   return failures == 0 ? 0 : 1;
 }
+
+}  // namespace ftm::bench

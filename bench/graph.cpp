@@ -1,9 +1,9 @@
-// Layer-chain sweep for the operator-graph executor (ISSUE 6,
-// docs/graph.md): for each representative chain, run the same graph with
-// scratchpad-residency planning on and off and report simulated cycles,
-// DDR traffic both ways, the bytes residency deletes, and host
-// wall-clock. The simulator is deterministic, so the cycle and byte
-// columns are bit-reproducible; wall-clock is informational.
+// Layer-chain sweep for the operator-graph executor (docs/graph.md): for
+// each representative chain, run the same graph with scratchpad-residency
+// planning on and off and report simulated cycles, DDR traffic both ways,
+// the bytes residency deletes, and host wall-clock. The simulator is
+// deterministic, so the cycle and byte columns are bit-reproducible;
+// wall-clock is informational.
 //
 // Also the CI guard for the graph acceptance invariants (exit 1 on
 // violation):
@@ -12,22 +12,17 @@
 //   * saved == unplanned - planned exactly;
 //   * planning never changes simulated cycles of a pure-GEMM chain;
 //   * repeated runs are bit-identical.
-//
-//   ./bench_graph [--smoke] [--csv graph_chains.csv]
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "ftm/graph/executor.hpp"
-#include "ftm/graph/graph.hpp"
 #include "ftm/graph/planner.hpp"
 #include "ftm/runtime/runtime.hpp"
-#include "ftm/util/cli.hpp"
-#include "ftm/util/reporter.hpp"
+#include "harness.hpp"
 
-using namespace ftm;
-
+namespace ftm::bench {
 namespace {
 
 struct Chain {
@@ -37,54 +32,6 @@ struct Chain {
   bool expect_savings = true;
 };
 
-/// x -> [gemm -> bias -> relu] x layers (no ReLU on the last).
-Chain make_mlp(const std::string& name, std::size_t rows,
-               const std::vector<std::size_t>& dims) {
-  Chain c;
-  c.name = name;
-  graph::TensorId h = c.g.input("x", rows, dims[0]);
-  for (std::size_t l = 0; l + 1 < dims.size(); ++l) {
-    const std::string ln = "l" + std::to_string(l + 1);
-    const graph::TensorId w =
-        c.g.input(ln + ".w", dims[l], dims[l + 1]);
-    const graph::TensorId b = c.g.input(ln + ".b", 1, dims[l + 1]);
-    h = c.g.bias_add(c.g.gemm(h, w, ln), b);
-    if (l + 2 < dims.size()) h = c.g.relu(h);
-  }
-  c.g.mark_output(h);
-  return c;
-}
-
-/// Pure 3-GEMM chain (the acceptance-criterion shape).
-Chain make_gemm_chain(const std::string& name, std::size_t m,
-                      std::size_t k, std::size_t n) {
-  Chain c;
-  c.name = name;
-  c.pure_gemm = true;
-  graph::TensorId h = c.g.input("x", m, k);
-  const graph::TensorId w1 = c.g.input("w1", k, n);
-  const graph::TensorId w2 = c.g.input("w2", n, n);
-  const graph::TensorId w3 = c.g.input("w3", n, n);
-  c.g.mark_output(c.g.gemm(c.g.gemm(c.g.gemm(h, w1), w2), w3));
-  return c;
-}
-
-/// One conv layer as im2col + GEMM.
-Chain make_conv(const std::string& name, std::size_t in_ch,
-                std::size_t hw, std::size_t out_ch) {
-  Chain c;
-  c.name = name;
-  graph::ConvParams p;
-  p.in_ch = in_ch;
-  p.height = p.width = hw;
-  const graph::TensorId img =
-      c.g.input("img", p.batch * in_ch * hw, hw);
-  const graph::TensorId filters =
-      c.g.input("filters", p.gemm_k(), out_ch);
-  c.g.mark_output(graph::conv2d(c.g, img, filters, p, name));
-  return c;
-}
-
 struct Row {
   std::string name;
   graph::GraphResult planned, unplanned;
@@ -93,10 +40,47 @@ struct Row {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+graph::Graph mlp_chain(std::size_t rows,
+                       const std::vector<std::size_t>& dims) {
+  graph::Graph g;
+  graph::TensorId h = g.input("x", rows, dims[0]);
+  for (std::size_t l = 0; l + 1 < dims.size(); ++l) {
+    const std::string ln = "l" + std::to_string(l + 1);
+    const graph::TensorId w = g.input(ln + ".w", dims[l], dims[l + 1]);
+    const graph::TensorId b = g.input(ln + ".b", 1, dims[l + 1]);
+    h = g.bias_add(g.gemm(h, w, ln), b);
+    if (l + 2 < dims.size()) h = g.relu(h);
+  }
+  g.mark_output(h);
+  return g;
+}
+
+graph::Graph gemm3_chain(std::size_t m, std::size_t k, std::size_t n) {
+  graph::Graph g;
+  const graph::TensorId x = g.input("x", m, k);
+  const graph::TensorId w1 = g.input("w1", k, n);
+  const graph::TensorId w2 = g.input("w2", n, n);
+  const graph::TensorId w3 = g.input("w3", n, n);
+  g.mark_output(g.gemm(g.gemm(g.gemm(x, w1), w2), w3));
+  return g;
+}
+
+graph::Graph conv_chain(std::size_t in_ch, std::size_t hw, std::size_t out_ch,
+                        const std::string& name) {
+  graph::Graph g;
+  graph::ConvParams p;
+  p.in_ch = in_ch;
+  p.height = p.width = hw;
+  const graph::TensorId img = g.input("img", p.batch * in_ch * hw, hw);
+  const graph::TensorId filters = g.input("filters", p.gemm_k(), out_ch);
+  g.mark_output(graph::conv2d(g, img, filters, p, name));
+  return g;
+}
+
+int graph_chains(const Cli& cli) {
   const bool smoke = cli.get_bool("smoke", false);
-  const std::string csv = cli.get("csv", smoke ? "" : "graph_chains.csv");
+  const std::string csv =
+      cli.get("csv", smoke ? "" : result_path("graph_chains.csv"));
 
   // Irregular layer chains: tall-skinny MLPs (paper type I/III
   // activations), a pure GEMM chain, and conv layers whose patch matrix
@@ -104,19 +88,17 @@ int main(int argc, char** argv) {
   const std::size_t r1 = smoke ? 640 : 1847;
   const std::size_t r2 = smoke ? 1024 : 16384;
   std::vector<Chain> chains;
-  chains.push_back(make_mlp("mlp3-taper", r1, {512, 256, 64, 10}));
-  chains.push_back(make_mlp("mlp3-wide", r2, {256, 96, 96, 32}));
-  chains.push_back(make_gemm_chain("gemm3-384x64", 384, 64, 64));
+  chains.push_back({"mlp3-taper", mlp_chain(r1, {512, 256, 64, 10})});
+  chains.push_back({"mlp3-wide", mlp_chain(r2, {256, 96, 96, 32})});
+  chains.push_back({"gemm3-384x64", gemm3_chain(384, 64, 64), true});
   // Patch matrix 48*48 x 576 = 5.3 MB: fits the 6 MB GSM arena.
-  chains.push_back(make_conv("conv-48x48x64", 64, smoke ? 28 : 48, 96));
-  {
-    // A chain whose patch matrix exceeds GSM (56*56 x 576 = 7.2 MB):
-    // exercises the deterministic spill path; the conv output is a graph
-    // output (DDR by rule), so this chain legitimately saves nothing.
-    Chain big = make_conv("conv-56x56x64", 64, 56, 96);
-    big.expect_savings = false;
-    chains.push_back(std::move(big));
-  }
+  chains.push_back({"conv-48x48x64",
+                    conv_chain(64, smoke ? 28 : 48, 96, "conv-48x48x64")});
+  // A chain whose patch matrix exceeds GSM (56*56 x 576 = 7.2 MB):
+  // exercises the deterministic spill path; the conv output is a graph
+  // output (DDR by rule), so this chain legitimately saves nothing.
+  chains.push_back({"conv-56x56x64", conv_chain(64, 56, 96, "conv-56x56x64"),
+                    false, false});
 
   runtime::RuntimeOptions ro;
   // Wide-split shard count depends on which clusters happen to be idle at
@@ -192,6 +174,7 @@ int main(int argc, char** argv) {
           (smoke ? " (smoke)" : ""));
 
   if (!csv.empty()) {
+    make_parent_dirs(csv);
     std::ofstream f(csv);
     f << "chain,nodes,gemm_nodes,cycles,seconds,ddr_bytes_unplanned,"
          "ddr_bytes_planned,ddr_bytes_saved,resident,inplace,spilled,"
@@ -209,3 +192,5 @@ int main(int argc, char** argv) {
   if (failures == 0) std::printf("graph invariants: ok\n");
   return failures == 0 ? 0 : 1;
 }
+
+}  // namespace ftm::bench

@@ -1,4 +1,4 @@
-// Multi-node scale-out sweeps (ISSUE 9, docs/scaleout.md).
+// Multi-node scale-out sweeps (docs/scaleout.md).
 //
 // Default mode reproduces a Fig. 6-style scaling study one level up the
 // hierarchy: the three 20480-scale taxonomy problems plus a regular
@@ -6,12 +6,12 @@
 // only — per-phase cycles (input distribution, compute, K reduction),
 // interconnect traffic, and speedup over one node. A second sweep holds
 // the grid fixed and varies link bandwidth, isolating how fast an
-// interconnect the sharding needs before collectives stop mattering.
+// interconnect the sharding needs before collectives stop mattering. The
+// `gate` experiment also emits the scaling cycles, as informational
+// entries: the node layer sits above the frozen single-processor cycle
+// model, so they are never gated.
 //
 //   --csv PREFIX   write PREFIX_scaling.csv and PREFIX_bandwidth.csv
-//   --json FILE    emit the scaling cycles as informational entries for
-//                  tools/bench_compare.py (never gated: the node layer
-//                  sits above the frozen single-processor cycle model)
 //   --smoke        CI invariants instead of the sweeps: N-node functional
 //                  results bit-identical to 1-node and correct against a
 //                  host reference; compute cycles monotone non-increasing
@@ -19,22 +19,19 @@
 //                  link bandwidth. Exit 0 iff all hold.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "ftm/nodes/scaleout.hpp"
-#include "ftm/util/cli.hpp"
 #include "ftm/util/matrix.hpp"
-#include "ftm/util/reporter.hpp"
 #include "ftm/workload/generators.hpp"
 #include "ftm/workload/sweeps.hpp"
+#include "harness.hpp"
 
-using namespace ftm;
-using core::FtimmOptions;
-using core::GemmInput;
-
+namespace ftm::bench {
 namespace {
+
+using core::GemmInput;
 
 const std::vector<int> kNodeCounts = {1, 2, 4, 8};
 const std::vector<double> kBandwidths = {4, 16, 64, 256};
@@ -43,11 +40,6 @@ std::vector<workload::GemmShape> sweep_shapes() {
   std::vector<workload::GemmShape> shapes = workload::fig6_cases();
   shapes.push_back({4096, 4096, 4096});  // regular anchor
   return shapes;
-}
-
-std::string shape_name(const workload::GemmShape& s) {
-  return std::to_string(s.m) + "x" + std::to_string(s.n) + "x" +
-         std::to_string(s.k);
 }
 
 nodes::NodeResult run_nodes(const workload::GemmShape& s, int n,
@@ -65,13 +57,6 @@ nodes::NodeResult run_nodes(const workload::GemmShape& s, int n,
   return nc.gemm(GemmInput::shape_only(s.m, s.n, s.k));
 }
 
-struct JsonEntry {
-  std::string shape;
-  std::string variant;
-  std::uint64_t cycles = 0;
-};
-
-// ---- smoke invariants (CI) ----------------------------------------------
 
 /// Host reference C += A*B with double accumulation — the independent
 /// yardstick for the functional bit-identity check.
@@ -133,7 +118,7 @@ int smoke() {
       }
     }
     std::printf("smoke: %s bit-identical over {1,2,3,5} nodes\n",
-                shape_name(s).c_str());
+                shape_key(s.m, s.n, s.k).c_str());
   }
 
   // 2) Compute scaling: more nodes must never increase the compute-phase
@@ -151,7 +136,7 @@ int smoke() {
       first = false;
     }
     std::printf("smoke: %s compute cycles monotone over nodes\n",
-                shape_name(s).c_str());
+                shape_key(s.m, s.n, s.k).c_str());
   }
 
   // 3) Bandwidth sensitivity: a faster link must never lengthen the
@@ -170,7 +155,7 @@ int smoke() {
       first = false;
     }
     std::printf("smoke: %s makespan monotone over link bandwidth\n",
-                shape_name(s).c_str());
+                shape_key(s.m, s.n, s.k).c_str());
   }
 
   if (failures == 0) std::printf("smoke: ok\n");
@@ -179,21 +164,8 @@ int smoke() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
-  if (cli.get_bool("smoke", false)) return smoke();
-  const std::string csv = cli.get("csv", "");
-  const std::string json = cli.get("json", "");
-  // 2048-element tiles give every sweep shape (the 4096^3 anchor
-  // included) a multi-cell canonical grid, so the node counts have
-  // something to spread.
-  const auto tile =
-      static_cast<std::size_t>(cli.get_int("m-tile", 2048));
-  const auto panel =
-      static_cast<std::size_t>(cli.get_int("k-panel", 2048));
-
-  std::vector<JsonEntry> entries;
-
+Table node_scaling(std::size_t tile, std::size_t panel,
+                   std::vector<GateEntry>& entries) {
   // ---- node-count scaling (Fig. 6 one level up) -------------------------
   // Steady state: operands already distributed (iterative workloads),
   // so the curve isolates compute scaling + reduction cost. The input
@@ -203,11 +175,10 @@ int main(int argc, char** argv) {
   for (const auto& s : sweep_shapes()) {
     std::uint64_t base = 0;
     for (const int n : kNodeCounts) {
-      const nodes::NodeResult r =
-          run_nodes(s, n, 16.0, false, tile, panel);
+      const nodes::NodeResult r = run_nodes(s, n, 16.0, false, tile, panel);
       if (n == 1) base = r.cycles;
       st.begin_row()
-          .cell(shape_name(s))
+          .cell(shape_key(s.m, s.n, s.k))
           .cell(to_string(workload::classify(s.m, s.n, s.k)))
           .cell(n)
           .cell(std::to_string(r.grid_p) + "x" + std::to_string(r.grid_q))
@@ -218,12 +189,28 @@ int main(int argc, char** argv) {
           .cell(r.gflops, 1)
           .cell(static_cast<double>(base) / static_cast<double>(r.cycles),
                 2);
-      entries.push_back({shape_name(s), "nodes_" + std::to_string(n),
-                         r.cycles});
+      entries.push_back({.shape = shape_key(s.m, s.n, s.k),
+                         .variant = "nodes_" + std::to_string(n),
+                         .cycles = r.cycles,
+                         .informational = true});
     }
   }
+  return st;
+}
+
+int node_sweep(const Cli& cli) {
+  if (cli.get_bool("smoke", false)) return smoke();
+  const std::string csv = cli.get("csv", "");
+  // 2048-element tiles give every sweep shape (the 4096^3 anchor
+  // included) a multi-cell canonical grid, so the node counts have
+  // something to spread.
+  const auto tile = static_cast<std::size_t>(cli.get_int("m-tile", 2048));
+  const auto panel = static_cast<std::size_t>(cli.get_int("k-panel", 2048));
+
+  std::vector<GateEntry> entries;
+  const Table st = node_scaling(tile, panel, entries);
   st.print("node scaling (steady state: operands pre-distributed)");
-  if (!csv.empty()) st.write_csv(csv + "_scaling.csv");
+  if (!csv.empty()) save(st, csv + "_scaling.csv");
 
   // ---- link bandwidth sensitivity ---------------------------------------
   Table bt({"shape", "bytes/cycle", "GB/s", "cycles", "input", "reduce",
@@ -232,7 +219,7 @@ int main(int argc, char** argv) {
   for (const double bpc : kBandwidths) {
     const nodes::NodeResult r = run_nodes(bs, 4, bpc, true, tile, panel);
     bt.begin_row()
-        .cell(shape_name(bs))
+        .cell(shape_key(bs.m, bs.n, bs.k))
         .cell(bpc, 0)
         .cell(bpc * 1.8, 1)  // at the 1.8 GHz core clock
         .cell(static_cast<std::size_t>(r.cycles))
@@ -241,26 +228,9 @@ int main(int argc, char** argv) {
         .cell(static_cast<double>(r.link_bytes) / 1e6, 2);
   }
   bt.print("link bandwidth sensitivity (4 nodes)");
-  if (!csv.empty()) bt.write_csv(csv + "_bandwidth.csv");
+  if (!csv.empty()) save(bt, csv + "_bandwidth.csv");
 
-  if (!json.empty()) {
-    std::ofstream f(json);
-    if (!f) {
-      std::fprintf(stderr, "bench_nodes: cannot write %s\n", json.c_str());
-      return 1;
-    }
-    // Informational on purpose: the node layer's cost model is policy
-    // above the gated single-processor cycle model — bench_compare.py
-    // prints drift but never fails on these.
-    f << "{\n  \"schema\": 1,\n  \"entries\": [\n";
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      f << "    {\"shape\": \"" << entries[i].shape << "\", \"variant\": \""
-        << entries[i].variant << "\", \"cycles\": " << entries[i].cycles
-        << ", \"informational\": true}" << (i + 1 < entries.size() ? ",\n"
-                                                                   : "\n");
-    }
-    f << "  ]\n}\n";
-    std::printf("wrote %s\n", json.c_str());
-  }
   return 0;
 }
+
+}  // namespace ftm::bench

@@ -1,4 +1,4 @@
-// Runtime benchmark: aggregate throughput of the multi-cluster GEMM
+// Runtime experiment: aggregate throughput of the multi-cluster GEMM
 // runtime versus offered load. Each batch mixes wide irregular problems
 // (whole-cluster phases) with many small ones (one core each); the sweep
 // scales the batch size and the cluster count so the CSV shows how close
@@ -10,24 +10,24 @@
 // and wall time per rate, plus the wall-clock overhead of the resilience
 // machinery itself with injection disabled (expected < 1%).
 //
-// --sdc-rate R (ISSUE 8, docs/robustness.md) runs the silent-data-
+// --sdc-rate R (docs/robustness.md) runs the silent-data-
 // corruption sweep instead: *functional* small-shape traffic with
 // SDC-only fault plans at rates {0, R/4, R/2, R}, resilience and the
 // verify+correct ABFT policy on. Per rate: checksum checks, detections,
 // in-place corrections, IntegrityError recomputes, CPU fallbacks, and
 // goodput (requests delivered with a correct C, validated against the
 // host reference — any silent escape fails the run). --smoke shrinks the
-// request count for CI.
+// request count for CI and writes no CSV.
 //
-// --replay (ISSUE 7, docs/serving.md) runs the open-loop arrival replay:
+// --replay (docs/serving.md) runs the open-loop arrival replay:
 // Poisson arrivals in *simulated* cycles over an irregular small-shape
 // mix, swept across offered rates, once without and once with shape-class
 // coalescing. Per point: p50/p95/p99 simulated latency (finish_cycle -
 // arrival_cycle) and goodput (requests meeting the SLO per second of
 // virtual span). The goodput knee (max over the sweep) with coalescing
-// must clear 1.3x the uncoalesced knee. --smoke shrinks the sweep and
-// asserts structural invariants only (CI); --json PATH appends
-// informational entries for tools/bench_compare.py.
+// must clear 1.3x the uncoalesced knee. --smoke shrinks the sweep,
+// asserts structural invariants only and writes no CSV (CI); --json PATH
+// writes the knees as informational entries for tools/bench_compare.py.
 #include <array>
 #include <chrono>
 #include <cmath>
@@ -39,22 +39,22 @@
 #include "ftm/cpu/cpu_gemm.hpp"
 #include "ftm/fault/fault.hpp"
 #include "ftm/runtime/runtime.hpp"
-#include "ftm/workload/generators.hpp"
 #include "ftm/trace/chrome.hpp"
 #include "ftm/trace/trace.hpp"
-#include "ftm/util/cli.hpp"
 #include "ftm/util/prng.hpp"
-#include "ftm/util/reporter.hpp"
 #include "ftm/util/stats.hpp"
+#include "ftm/workload/generators.hpp"
+#include "harness.hpp"
 
-using namespace ftm;
+namespace ftm::bench {
+
+namespace {
+
 using core::FtimmOptions;
 using core::GemmInput;
 using runtime::BatchResult;
 using runtime::GemmRuntime;
 using runtime::RuntimeOptions;
-
-namespace {
 
 // One "unit" of offered load: a wide skinny-tall problem plus a handful
 // of FEM-sized smalls, mirroring the mixed serving traffic the runtime
@@ -111,7 +111,7 @@ double run_serving(int requests, double rate, bool resilient,
   return ms;
 }
 
-// ------------------------------------------------ SDC sweep (ISSUE 8)
+// ------------------------------------------------ SDC sweep
 
 /// Per-rate outcome of the silent-corruption sweep.
 struct SdcPoint {
@@ -248,12 +248,11 @@ int run_sdc_sweep(const Cli& cli, double top_rate) {
     }
   }
   t.print("Goodput vs injected silent-corruption rate (ABFT verify+correct)");
-  t.write_csv("runtime_sdc.csv");
-  std::printf("CSV written to runtime_sdc.csv\n");
+  if (!smoke) save(t, result_path("runtime_sdc.csv"));
   return ok ? 0 : 1;
 }
 
-// ------------------------------------------------ arrival replay (ISSUE 7)
+// ------------------------------------------------ arrival replay
 
 /// One Poisson arrival: a virtual submission cycle and a shape index.
 struct Arrival {
@@ -429,8 +428,7 @@ int run_replay_sweep(const Cli& cli) {
     }
   }
   t.print("Open-loop arrival replay: latency and goodput vs offered load");
-  t.write_csv("runtime_replay.csv");
-  std::printf("CSV written to runtime_replay.csv\n");
+  if (!smoke) save(t, result_path("runtime_replay.csv"));
   const double ratio = knee_off > 0 ? knee_on / knee_off : 0;
   std::printf("goodput knee: baseline %.0f rps, coalesced %.0f rps "
               "(%.2fx)\n", knee_off, knee_on, ratio);
@@ -445,39 +443,26 @@ int run_replay_sweep(const Cli& cli) {
   }
 
   const std::string json = cli.get("json", "");
-  if (!json.empty()) {
-    // Informational entries only: goodput is a throughput (requests/s),
-    // not a cycle count, so bench_compare.py must never gate on it.
-    std::FILE* f = std::fopen(json.c_str(), "w");
-    if (f == nullptr) {
-      std::printf("FAIL: cannot write %s\n", json.c_str());
-      ok = false;
-    } else {
-      std::fprintf(f,
-                   "{\n  \"schema\": 1,\n  \"entries\": [\n"
-                   "    {\"shape\": \"replay:mix4\", \"variant\": "
-                   "\"goodput_knee_baseline\", \"cycles\": %llu, "
-                   "\"informational\": true},\n"
-                   "    {\"shape\": \"replay:mix4\", \"variant\": "
-                   "\"goodput_knee_coalesced\", \"cycles\": %llu, "
-                   "\"informational\": true},\n"
-                   "    {\"shape\": \"replay:mix4\", \"variant\": "
-                   "\"goodput_ratio_x100\", \"cycles\": %llu, "
-                   "\"informational\": true}\n  ]\n}\n",
-                   static_cast<unsigned long long>(knee_off),
-                   static_cast<unsigned long long>(knee_on),
-                   static_cast<unsigned long long>(ratio * 100));
-      std::fclose(f);
-      std::printf("JSON written to %s\n", json.c_str());
-    }
+  // Informational entries only: goodput is a throughput (requests/s), not
+  // a cycle count, so bench_compare.py must never gate on it.
+  const auto knee = [](const char* variant, double value) {
+    return GateEntry{.shape = "replay:mix4",
+                     .variant = variant,
+                     .cycles = static_cast<std::uint64_t>(value),
+                     .informational = true};
+  };
+  if (!json.empty() &&
+      !write_gate_json(json, {knee("goodput_knee_baseline", knee_off),
+                              knee("goodput_knee_coalesced", knee_on),
+                              knee("goodput_ratio_x100", ratio * 100)})) {
+    ok = false;
   }
   return ok ? 0 : 1;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  Cli cli(argc, argv);
+int runtime_sweep(const Cli& cli) {
   if (cli.has("replay")) return run_replay_sweep(cli);
   if (cli.has("sdc-rate")) {
     return run_sdc_sweep(cli, cli.get_double("sdc-rate", 0.1));
@@ -487,8 +472,7 @@ int main(int argc, char** argv) {
   trace::TraceSession session;
   if (!trace_path.empty()) session.start();
 
-  FtimmOptions opt;
-  opt.functional = false;
+  const FtimmOptions opt = timing_only();
 
   Table t({"clusters", "batch", "problems", "wide", "small", "makespan ms",
            "GFlops", "speedup vs 1"});
@@ -514,9 +498,8 @@ int main(int argc, char** argv) {
           .cell(base_seconds / br.seconds, 2);
     }
   }
-  t.print("Multi-cluster runtime: throughput vs offered load");
-  t.write_csv("runtime.csv");
-  std::printf("CSV written to runtime.csv\n");
+  report(t, "Multi-cluster runtime: throughput vs offered load",
+         "runtime.csv");
 
   if (fault_rate > 0) {
     const int requests = cli.get_int("requests", 200);
@@ -543,9 +526,8 @@ int main(int argc, char** argv) {
                 1)
           .cell(ms, 1);
     }
-    g.print("Goodput vs injected DMA fault rate (resilience on)");
-    g.write_csv("runtime_faults.csv");
-    std::printf("CSV written to runtime_faults.csv\n");
+    report(g, "Goodput vs injected DMA fault rate (resilience on)",
+           "runtime_faults.csv");
 
     // Overhead of the resilience machinery with injection disabled:
     // identical traffic, fail-fast vs resilient workers, no injector.
@@ -567,3 +549,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace ftm::bench

@@ -370,7 +370,7 @@ TEST(TreeReduction, MatchesReferenceAcrossCoreCounts) {
 TEST(TreeReduction, CompetitiveWithSerial) {
   // The tree halves the *serial depth* but moves ~3x the chunk bytes; with
   // core 0's DMA engine pipelining the serial chunks, the two schemes land
-  // within a few percent of each other (see bench_ablation_reduction).
+  // within a few percent of each other (see `ftm_bench ablation-reduction`).
   FtimmOptions opt;
   opt.functional = false;
   opt.force = Strategy::ParallelK;

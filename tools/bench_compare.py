@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Diff two bench_perf_gate JSON files and fail on cycle regressions.
+"""Diff two `ftm_bench gate` JSON files and fail on cycle regressions.
 
 Usage: bench_compare.py BASELINE CURRENT [--tolerance PCT]
 
@@ -19,11 +19,12 @@ of the run). Its aggregate drift is printed for visibility but can never
 fail the gate: wall time is machine- and load-dependent, unlike the
 bit-reproducible cycle counts.
 
-An entry marked "informational": true (e.g. the replay goodput figures
-bench_runtime --replay --json emits) is exempt from every rule above: it
-is printed for trend visibility, never compared, and never required to
-be present in CURRENT — the perf-gate matrix and informational metrics
-come from different producers.
+An entry marked "informational": true (e.g. the node-layer cycles
+`ftm_bench gate` appends, or the replay goodput figures
+`ftm_bench runtime --replay --json` emits) is exempt from every rule
+above: it is printed for trend visibility, never compared, and never
+required to be present in CURRENT — informational metrics may come from
+other producers than the perf-gate matrix.
 
 Baseline refresh procedure: docs/tuning.md.
 """
