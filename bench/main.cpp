@@ -9,7 +9,6 @@
 // An unknown experiment, a flag the experiment does not take, or a stray
 // positional argument exits 2 before anything runs, so a typo in a CI step
 // fails instead of silently running the default sweep.
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -83,18 +82,12 @@ const std::vector<Experiment>& experiments() {
   return kAll;
 }
 
-std::string flag_list(const Experiment& e) {
-  std::string s;
-  for (const std::string& f : e.flags) s += " [--" + f + "]";
-  return s;
-}
-
 void usage(std::FILE* out) {
   std::fprintf(out, "usage: ftm_bench <experiment> [flags]\nexperiments:\n");
   for (const Experiment& e : experiments()) {
     std::fprintf(out, "  %-19s %s\n", e.name, e.summary);
     if (!e.flags.empty()) {
-      std::fprintf(out, "%21s%s\n", "", flag_list(e).c_str());
+      std::fprintf(out, "%21s%s\n", "", Cli::flag_list(e.flags).c_str());
     }
   }
 }
@@ -133,32 +126,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // ftm::Cli accepts any --flag; check every one against the experiment's
-  // declared set first. Cli treats each "--" token as a flag and any other
-  // token as that flag's value or a positional argument.
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    std::string flag = arg.substr(2);
-    flag = flag.substr(0, flag.find('='));
-    if (flag == "help") {
-      std::printf("ftm_bench %s%s\n  %s\n", exp->name,
-                  flag_list(*exp).c_str(), exp->summary);
-      return 0;
-    }
-    if (std::find(exp->flags.begin(), exp->flags.end(), flag) ==
-        exp->flags.end()) {
-      std::fprintf(stderr,
-                   "ftm_bench: %s does not take --%s (flags:%s)\n",
-                   exp->name, flag.c_str(),
-                   exp->flags.empty() ? " none" : flag_list(*exp).c_str());
-      return 2;
-    }
-  }
   const Cli cli(argc - 1, argv + 1);
-  if (!cli.positional().empty()) {
-    std::fprintf(stderr, "ftm_bench: %s: unexpected argument '%s'\n",
-                 exp->name, cli.positional().front().c_str());
+  if (cli.has("help")) {
+    std::printf("ftm_bench %s%s\n  %s\n", exp->name,
+                Cli::flag_list(exp->flags).c_str(), exp->summary);
+    return 0;
+  }
+  if (!cli.check(std::string("ftm_bench ") + exp->name, exp->flags)) {
     return 2;
   }
   return exp->run(cli);

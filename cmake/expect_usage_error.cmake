@@ -1,6 +1,6 @@
 # ctest helper: runs CMD (a list: program then arguments) and passes only
-# if it exits with status 2, the driver's usage-error code, and its output
-# contains EXPECT.
+# if it exits with status 2, the usage-error code of every ftm program,
+# and its output contains EXPECT.
 execute_process(COMMAND ${CMD} RESULT_VARIABLE rc OUTPUT_VARIABLE out
                 ERROR_VARIABLE out)
 if(NOT rc EQUAL 2)

@@ -190,6 +190,7 @@ int run_graph(std::size_t batch, bool verify) {
 
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
+  if (!cli.check("conv_im2col", {"batch", "verify", "no-graph"})) return 2;
   const std::size_t batch =
       static_cast<std::size_t>(cli.get_int("batch", 1));
   const bool verify = cli.get_bool("verify", true);

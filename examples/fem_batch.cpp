@@ -18,6 +18,9 @@
 int main(int argc, char** argv) {
   using namespace ftm;
   Cli cli(argc, argv);
+  if (!cli.check("fem_batch", {"elements", "nodes", "fields", "quad"})) {
+    return 2;
+  }
   const std::size_t elements =
       static_cast<std::size_t>(cli.get_int("elements", 2048));
   const std::size_t nodes = static_cast<std::size_t>(cli.get_int("nodes", 64));

@@ -15,6 +15,10 @@
 int main(int argc, char** argv) {
   using namespace ftm;
   Cli cli(argc, argv);
+  if (!cli.check("kernel_explorer", {"sweep", "ms", "ka", "na", "load_c",
+                                     "disasm", "trace", "trace_rows"})) {
+    return 2;
+  }
   const auto& mc = isa::default_machine();
 
   if (cli.get_bool("sweep", false)) {

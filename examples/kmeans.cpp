@@ -19,6 +19,7 @@
 int main(int argc, char** argv) {
   using namespace ftm;
   Cli cli(argc, argv);
+  if (!cli.check("kmeans", {"samples", "dims", "centroids", "iters"})) return 2;
   const std::size_t samples =
       static_cast<std::size_t>(cli.get_int("samples", 65536));
   const std::size_t dims = static_cast<std::size_t>(cli.get_int("dims", 32));

@@ -26,6 +26,7 @@
 int main(int argc, char** argv) {
   using namespace ftm;
   Cli cli(argc, argv);
+  if (!cli.check("mlp_chain", {"rows", "verify", "report"})) return 2;
   // Deliberately not a multiple of anything: an irregular batch.
   const std::size_t rows =
       static_cast<std::size_t>(cli.get_int("rows", 1847));

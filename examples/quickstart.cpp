@@ -13,6 +13,7 @@
 int main(int argc, char** argv) {
   using namespace ftm;
   Cli cli(argc, argv);
+  if (!cli.check("quickstart", {"m", "n", "k", "cores"})) return 2;
   const std::size_t m = static_cast<std::size_t>(cli.get_int("m", 8192));
   const std::size_t n = static_cast<std::size_t>(cli.get_int("n", 32));
   const std::size_t k = static_cast<std::size_t>(cli.get_int("k", 32));

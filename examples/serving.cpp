@@ -67,6 +67,10 @@
 int main(int argc, char** argv) {
   using namespace ftm;
   Cli cli(argc, argv);
+  if (!cli.check("serving", {"requests", "clusters", "seed", "trace", "chaos",
+                             "sdc", "rps", "qos", "coalesce", "max-queue"})) {
+    return 2;
+  }
   const int requests = cli.get_int("requests", 32);
   const int clusters = cli.get_int("clusters", 4);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));

@@ -30,7 +30,7 @@
 namespace ftm::core {
 
 /// Default recursion cutoff (max sub-problem dimension that still runs
-/// the blocked path). Chosen from the bench_mixed crossover study: leaf
+/// the blocked path). Chosen from the `ftm_bench mixed` crossover study: leaf
 /// efficiency is still climbing below 8k (53.6% at 4096^3 vs 59.8% at
 /// 8192^3 for the best blocked variant), so splitting earlier trades
 /// cheap large-leaf flops for expensive small-leaf ones and loses more

@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "ftm/core/blocking.hpp"
 #include "ftm/core/exec.hpp"
@@ -15,10 +17,11 @@
 
 namespace ftm::core::detail {
 
-/// Per-run bookkeeping: DDR traffic, kernel-call count, the ping-pong
-/// ablation (when disabled every DMA is awaited immediately, removing all
-/// compute/transfer overlap), and the host execution engine that defers
-/// functional work onto opt.host_pool (inline when no pool is attached).
+/// Per-run bookkeeping: DDR traffic, kernel-call count, the run's kernels
+/// (kernel_for), the ping-pong ablation (when disabled every DMA is awaited
+/// immediately, removing all compute/transfer overlap), and the host
+/// execution engine that defers functional work onto opt.host_pool (inline
+/// when no pool is attached).
 struct RunCtx {
   sim::Cluster& cl;
   kernelgen::KernelCache& cache;
@@ -33,6 +36,10 @@ struct RunCtx {
   /// Cached active session (nullptr = tracing off). Looked up once per
   /// GEMM; an active session outlives the call by contract.
   trace::TraceSession* trace_ = nullptr;
+
+  /// kernel_for's per-run memo: each spec the run used, with its kernel.
+  std::vector<std::pair<kernelgen::KernelSpec, const kernelgen::MicroKernel*>>
+      kernels_;
 
   RunCtx(sim::Cluster& c, kernelgen::KernelCache& k, const FtimmOptions& o,
          kernelgen::DType dt = kernelgen::DType::F32)
@@ -65,6 +72,19 @@ struct RunCtx {
       w = std::min(opt.bandwidth_share, cl.machine().cores_per_cluster);
     }
     cl.set_active_cores(w);
+  }
+
+  /// The run's micro-kernel for `spec`. A loop nest uses only a few specs
+  /// (full and remainder slices), so the shared KernelCache, with its
+  /// mutex and map, is consulted once per distinct spec per run; every
+  /// other call is a short scan of this run's own list.
+  const kernelgen::MicroKernel& kernel_for(const kernelgen::KernelSpec& spec) {
+    for (const auto& [s, uk] : kernels_) {
+      if (s == spec) return *uk;
+    }
+    const kernelgen::MicroKernel& uk = cache.get(spec);
+    kernels_.emplace_back(spec, &uk);
+    return uk;
   }
 
   sim::DmaHandle dma(int core, const sim::DmaRequest& req,

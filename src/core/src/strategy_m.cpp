@@ -186,7 +186,7 @@ GemmResult detail::run_strategy_m(sim::Cluster& cl,
               spec.ka = static_cast<int>(ka_t);
               spec.na = static_cast<int>(na_t);
               spec.dtype = in.dtype;
-              const auto& uk = ctx.cache.get(spec);
+              const auto& uk = ctx.kernel_for(spec);
               ctx.kernel(
                   core, uk,
                   fn ? sm.raw(pc[core].as[s % 2].offset, mrows * ka_t * ab)

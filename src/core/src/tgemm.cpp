@@ -169,7 +169,7 @@ GemmResult run_tgemm(sim::Cluster& cl, kernelgen::KernelCache& cache,
           spec.ms = static_cast<int>(mrows);
           spec.ka = static_cast<int>(p.kg_t);
           spec.na = static_cast<int>(tb.na);  // TGEMM's implicit padding
-          const auto& uk = ctx.cache.get(spec);
+          const auto& uk = ctx.kernel_for(spec);
           ctx.kernel(
               core, uk,
               fn ? cl.core(core).sm().f32(pc[core].as[s % 2].offset,

@@ -74,11 +74,13 @@ class MicroKernel {
   sim::ExecResult calib_;
 };
 
-/// Memoizes MicroKernel instances per (ms, ka, na, load_c). Thread-safe:
-/// one cache may be shared by engines driving different clusters from
-/// different threads (kernels are immutable once built, so only the map
-/// itself needs the lock; a kernel's first generation+calibration happens
-/// under it, exactly once per shape process-wide).
+/// Memoizes MicroKernel instances per (ms, ka, na, load_c, dtype).
+/// Thread-safe: one cache may be shared by engines driving different
+/// clusters from different threads (kernels are immutable once built, so
+/// only the map itself needs the lock; a kernel's first generation +
+/// calibration happens under it, exactly once per spec per cache). The GEMM
+/// loop nests look each spec up here once per run (RunCtx::kernel_for), so
+/// hits() counts distinct specs per run, not kernel calls.
 class KernelCache {
  public:
   explicit KernelCache(const isa::MachineConfig& mc = isa::default_machine());

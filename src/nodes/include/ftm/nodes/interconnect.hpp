@@ -27,7 +27,7 @@ namespace ftm::nodes {
 /// DDR-class interconnect (16 B/cycle = 28.8 GB/s at 1.8 GHz, ~1 us
 /// latency): slower than the on-chip GSM crossbar by an order of
 /// magnitude, which is what makes the collectives a modeled cost worth
-/// measuring rather than a free merge. bench_nodes sweeps both knobs.
+/// measuring rather than a free merge. `ftm_bench nodes` sweeps both knobs.
 struct LinkConfig {
   double bytes_per_cycle = 16.0;
   std::uint64_t latency_cycles = 1800;

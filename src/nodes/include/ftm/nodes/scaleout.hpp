@@ -62,7 +62,7 @@ struct NodeOptions {
   LinkConfig link;
   /// Charge cycles for shipping A/B from the root node before compute.
   /// Off models pre-distributed operands (the steady state of iterative
-  /// workloads); bench_nodes sweeps both.
+  /// workloads); `ftm_bench nodes` sweeps both.
   bool model_input_distribution = true;
   /// Canonical tile sizes — shape-derived, node-count independent. Both
   /// must stay fixed across runs being compared for bit-identity.

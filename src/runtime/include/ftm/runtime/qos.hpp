@@ -23,7 +23,7 @@
 //
 // Deadlines and arrivals are in *simulated* cycles on the runtime's lane
 // clocks (virtual time), not host wall time: serving replay drives a
-// virtual arrival clock (bench_runtime --replay, examples/serving --rps)
+// virtual arrival clock (`ftm_bench runtime --replay`, examples/serving --rps)
 // and the cycle domain keeps admission deterministic. arrival_cycle = 0
 // means "the epoch", i.e. the last reset_clocks().
 #pragma once

@@ -66,7 +66,9 @@ class Cluster {
   /// uses this to decouple the (eager, deterministic) timing simulation
   /// from the (deferrable) functional copy; callers in functional mode
   /// must perform dma_copy(req, src, dst) themselves. Fault injection
-  /// still throws here, i.e. before any bytes would move.
+  /// still throws here, i.e. before any bytes would move. The base cost
+  /// comes from the cluster's DmaCostMemo; the fault hook, the byte
+  /// counters, the stall scale and the trace event stay per transfer.
   DmaHandle dma_issue(int c, const DmaRequest& req);
 
   /// Silent-data-corruption hook for a C-store transfer: with a fault
@@ -114,6 +116,7 @@ class Cluster {
   bool functional_ = true;
   fault::FaultInjector* fault_ = nullptr;
   std::uint64_t trace_epoch_ = 0;
+  DmaCostMemo dma_costs_;  ///< kept across reset(): costs never go stale
 };
 
 }  // namespace ftm::sim

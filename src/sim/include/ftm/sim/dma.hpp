@@ -12,6 +12,7 @@
 // copy for huge sweep benchmarks where only cycle counts matter.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -46,6 +47,51 @@ struct DmaRequest {
 /// crossbar figures with the aggregate cap applied as a sharing factor.
 std::uint64_t dma_cost_cycles(const isa::MachineConfig& mc,
                               const DmaRequest& req, int ddr_share);
+
+/// Fixed-size memo of dma_cost_cycles for one machine. The cost depends
+/// only on (route, total bytes, DDR share), and a GEMM issues the same few
+/// block-shaped transfers over and over, so a direct-mapped table answers
+/// almost every lookup; a key that collides replaces the slot's entry. No
+/// lock: like the Cluster that owns it, a memo is driven by one thread at
+/// a time.
+class DmaCostMemo {
+ public:
+  static constexpr int kSlotBits = 6;
+  static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
+
+  explicit DmaCostMemo(const isa::MachineConfig& mc) : mc_(mc) {}
+
+  /// Exactly dma_cost_cycles(mc, req, ddr_share).
+  std::uint64_t cost(const DmaRequest& req, int ddr_share) {
+    FTM_EXPECTS(ddr_share >= 1);  // 0 marks an empty slot
+    const std::uint64_t bytes = req.total_bytes();
+    Entry& e = slots_[slot(req.route, bytes, ddr_share)];
+    if (e.share != ddr_share || e.bytes != bytes || e.route != req.route) {
+      e = {bytes, ddr_share, req.route, dma_cost_cycles(mc_, req, ddr_share)};
+    }
+    return e.cost;
+  }
+
+  /// The slot a key maps to (Fibonacci hashing: the top kSlotBits bits).
+  static std::size_t slot(DmaRoute route, std::uint64_t bytes,
+                          int ddr_share) {
+    const std::uint64_t key = bytes ^
+                              (static_cast<std::uint64_t>(route) << 56) ^
+                              (static_cast<std::uint64_t>(ddr_share) << 48);
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
+                                    (64 - kSlotBits));
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t bytes = 0;
+    int share = 0;
+    DmaRoute route = DmaRoute::DdrToSpm;
+    std::uint64_t cost = 0;
+  };
+  isa::MachineConfig mc_;
+  std::array<Entry, kSlots> slots_{};
+};
 
 /// Handle identifying an issued transfer on a core's timeline.
 using DmaHandle = std::uint64_t;

@@ -33,7 +33,7 @@ const char* route_counter_name(DmaRoute r) {
 #endif
 
 Cluster::Cluster(const isa::MachineConfig& mc, int id)
-    : mc_(mc), id_(id), gsm_("GSM", mc.gsm_bytes) {
+    : mc_(mc), id_(id), gsm_("GSM", mc.gsm_bytes), dma_costs_(mc) {
   cores_.reserve(mc.cores_per_cluster);
   for (int i = 0; i < mc.cores_per_cluster; ++i) {
     cores_.push_back(std::make_unique<DspCore>(mc));
@@ -80,7 +80,7 @@ std::optional<fault::FaultInjector::Corruption> Cluster::store_corruption(
 
 DmaHandle Cluster::dma_issue(int c, const DmaRequest& req) {
   FTM_EXPECTS(c >= 0 && c < num_cores());
-  std::uint64_t cost = dma_cost_cycles(mc_, req, active_cores_);
+  std::uint64_t cost = dma_costs_.cost(req, active_cores_);
   if (fault_ != nullptr) {
     // May throw FaultError (DmaError / SpmEcc / ClusterDead) before any
     // bytes move, or return a timeout penalty charged on the timeline.

@@ -1,5 +1,7 @@
 #include "ftm/util/cli.hpp"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 
 namespace ftm {
@@ -45,6 +47,30 @@ bool Cli::get_bool(const std::string& name, bool def) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return def;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+bool Cli::check(const std::string& prog,
+                const std::vector<std::string>& declared) const {
+  for (const auto& [name, value] : flags_) {
+    if (std::find(declared.begin(), declared.end(), name) == declared.end()) {
+      std::fprintf(stderr, "%s: unknown flag --%s (flags:%s)\n",
+                   prog.c_str(), name.c_str(),
+                   declared.empty() ? " none" : flag_list(declared).c_str());
+      return false;
+    }
+  }
+  if (!positional_.empty()) {
+    std::fprintf(stderr, "%s: unexpected argument '%s'\n", prog.c_str(),
+                 positional_.front().c_str());
+    return false;
+  }
+  return true;
+}
+
+std::string Cli::flag_list(const std::vector<std::string>& declared) {
+  std::string s;
+  for (const std::string& f : declared) s += " [--" + f + "]";
+  return s;
 }
 
 }  // namespace ftm

@@ -5,6 +5,7 @@
 
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -134,6 +135,49 @@ TEST(Failure, EngineRemainsUsableAfterError) {
   // Subsequent valid calls work on the same engine.
   const auto r = e.sgemm(GemmInput::shape_only(1024, 32, 32), opt);
   EXPECT_GT(r.cycles, 0u);
+}
+
+// A fault-injected timing-only sweep over all three strategies: which
+// transfers time out, the cycles their penalties add, and which transfers
+// throw must not depend on how the base DMA cost is computed. The expected
+// values were recorded before Cluster::dma_issue took its costs from a
+// memo.
+TEST(Failure, InjectedDmaFaultSequenceIsPinned) {
+  fault::FaultPlan plan;
+  plan.seed = 2024;
+  plan.cluster(0).dma_timeout_rate = 0.002;
+  plan.cluster(0).dma_error_rate = 0.0004;
+  fault::FaultInjector fi(plan);
+  FtimmEngine e;
+  e.cluster().set_fault_injector(&fi);
+  FtimmOptions opt;
+  opt.functional = false;
+
+  std::uint64_t cycles = 0;
+  std::uint64_t trail = 0xcbf29ce484222325ULL;  // FNV-1a of the outcomes
+  int thrown = 0;
+  for (int rep = 0; rep < 4; ++rep) {
+    for (const auto& [m, n, k] :
+         {std::tuple{4096, 32, 64}, std::tuple{32, 32, 16384},
+          std::tuple{600, 200, 300}, std::tuple{1000, 17, 333}}) {
+      std::uint64_t outcome = 0;
+      try {
+        outcome = e.sgemm(GemmInput::shape_only(m, n, k), opt).cycles;
+        cycles += outcome;
+      } catch (const FaultError& err) {
+        EXPECT_EQ(err.kind(), FaultKind::DmaError);
+        EXPECT_EQ(err.cluster(), 0);
+        outcome = 1000 + static_cast<std::uint64_t>(err.core());
+        ++thrown;
+      }
+      trail = (trail ^ outcome) * 0x100000001b3ULL;
+    }
+  }
+  EXPECT_EQ(fi.injected(FaultKind::DmaTimeout), 12u);
+  EXPECT_EQ(fi.injected(FaultKind::DmaError), 2u);
+  EXPECT_EQ(thrown, 2);
+  EXPECT_EQ(cycles, 30611660u);
+  EXPECT_EQ(trail, 0x4937d1bdea7e2962ULL);
 }
 
 TEST(Failure, ProgramWithBadUnitAssignmentRejectedAtRun) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "ftm/sim/cluster.hpp"
 #include "ftm/sim/core.hpp"
@@ -89,6 +90,65 @@ TEST(Dma, GsmRouteFasterThanDdr) {
   req.route = DmaRoute::GsmToSpm;
   const auto gsm = dma_cost_cycles(mc, req, 1);
   EXPECT_LT(gsm, ddr);
+}
+
+// The memo Cluster::dma_issue charges from must return exactly the direct
+// cost for every key: first sight (a miss), repeat (a hit), and keys that
+// share a slot and keep evicting each other.
+TEST(Dma, CostMemoReturnsExactDirectCost) {
+  const isa::MachineConfig mc;
+  DmaCostMemo memo(mc);
+  const DmaRoute routes[] = {DmaRoute::DdrToSpm, DmaRoute::SpmToDdr,
+                             DmaRoute::GsmToSpm, DmaRoute::SpmToGsm,
+                             DmaRoute::OnChip};
+  const std::size_t sizes[] = {0,    1,     4,      127,    128,
+                               4096, 12288, 196608, 786432, 3u << 22};
+  auto req_of = [](DmaRoute route, std::size_t bytes) {
+    DmaRequest req;
+    req.route = route;
+    req.rows = 1;
+    req.row_bytes = bytes;
+    return req;
+  };
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const DmaRoute route : routes) {
+      for (int share = 1; share <= 8; ++share) {
+        for (const std::size_t bytes : sizes) {
+          const DmaRequest req = req_of(route, bytes);
+          ASSERT_EQ(memo.cost(req, share), dma_cost_cycles(mc, req, share))
+              << "route " << static_cast<int>(route) << " share " << share
+              << " bytes " << bytes << " pass " << pass;
+        }
+      }
+    }
+  }
+
+  // Keys that collide with (DdrToSpm, 4096, 8): one differing only in
+  // bytes, one in route and share too. Alternating them evicts each time.
+  struct Key {
+    DmaRoute route;
+    std::size_t bytes;
+    int share;
+  };
+  const std::size_t home = DmaCostMemo::slot(DmaRoute::DdrToSpm, 4096, 8);
+  ASSERT_LT(home, DmaCostMemo::kSlots);
+  std::vector<Key> keys = {{DmaRoute::DdrToSpm, 4096, 8}};
+  for (Key k : {Key{DmaRoute::DdrToSpm, 1, 8}, Key{DmaRoute::GsmToSpm, 1, 3}}) {
+    while (k.bytes == 4096 ||
+           DmaCostMemo::slot(k.route, k.bytes, k.share) != home) {
+      ++k.bytes;
+    }
+    keys.push_back(k);
+  }
+  for (int round = 0; round < 4; ++round) {
+    for (const Key& k : keys) {
+      const DmaRequest req = req_of(k.route, k.bytes);
+      ASSERT_EQ(memo.cost(req, k.share), dma_cost_cycles(mc, req, k.share))
+          << "colliding bytes " << k.bytes << " round " << round;
+    }
+  }
+  EXPECT_THROW(memo.cost(req_of(DmaRoute::DdrToSpm, 64), 0),
+               ContractViolation);
 }
 
 TEST(Dma, CopyRespectsStrides) {

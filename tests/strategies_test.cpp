@@ -270,6 +270,53 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(g.k) + "_c" + std::to_string(g.cores);
     });
 
+// --- Kernel lookups stay per run -------------------------------------------
+//
+// Each loop nest resolves a micro-kernel spec in the shared KernelCache
+// once per run (RunCtx::kernel_for), so a warm cache sees one hit per
+// distinct spec the run used, not one per kernel call.
+
+struct LookupCase {
+  const char* name;
+  Strategy strategy;
+  Shape shape;
+};
+
+class KernelLookups : public ::testing::TestWithParam<LookupCase> {};
+
+TEST_P(KernelLookups, OncePerDistinctSpecPerRun) {
+  const LookupCase& lc = GetParam();
+  FtimmEngine eng;  // its own cache, so generated() counts this shape only
+  FtimmOptions opt;
+  opt.functional = false;
+  opt.force = lc.strategy;
+  const GemmInput in =
+      GemmInput::shape_only(lc.shape.m, lc.shape.n, lc.shape.k);
+  auto run = [&] {
+    return lc.strategy == Strategy::TGemm ? eng.tgemm(in, opt)
+                                          : eng.sgemm(in, opt);
+  };
+  const GemmResult cold = run();
+  const std::size_t specs = eng.kernels().generated();
+  const std::size_t hits = eng.kernels().hits();
+  const GemmResult warm = run();
+  EXPECT_EQ(warm.strategy, lc.strategy);
+  EXPECT_EQ(warm.cycles, cold.cycles);
+  EXPECT_EQ(eng.kernels().generated(), specs);
+  EXPECT_LE(eng.kernels().hits() - hits, specs);
+  EXPECT_GT(warm.kernel_calls, 4 * specs);  // so the bound means something
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllStrategies, KernelLookups,
+    ::testing::Values(
+        LookupCase{"ParallelM", Strategy::ParallelM, {4000, 40, 1000}},
+        LookupCase{"ParallelK", Strategy::ParallelK, {40, 40, 20000}},
+        LookupCase{"TGemm", Strategy::TGemm, {600, 200, 300}}),
+    [](const ::testing::TestParamInfo<LookupCase>& info) {
+      return std::string(info.param.name);
+    });
+
 // --- Dispatcher -------------------------------------------------------------
 
 TEST(Dispatcher, PaperShapeRouting) {

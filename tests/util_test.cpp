@@ -132,6 +132,16 @@ TEST(Cli, ParsesFlagsAndPositionals) {
   EXPECT_EQ(cli.positional()[0], "pos1");
 }
 
+TEST(Cli, CheckRejectsUndeclaredFlagsAndArguments) {
+  const char* ok[] = {"prog", "--m", "128", "--fast"};
+  EXPECT_TRUE(Cli(4, ok).check("prog", {"m", "fast", "unused"}));
+  const char* typo[] = {"prog", "--m=128", "--fats"};
+  EXPECT_FALSE(Cli(3, typo).check("prog", {"m", "fast"}));
+  const char* stray[] = {"prog", "--fast", "--m", "128", "extra"};
+  EXPECT_FALSE(Cli(5, stray).check("prog", {"m", "fast"}));
+  EXPECT_EQ(Cli::flag_list({"m", "fast"}), " [--m] [--fast]");
+}
+
 TEST(Reporter, TableRowsAndCsv) {
   Table t({"a", "b"});
   t.begin_row().cell(1.5, 1).cell(std::size_t{7});

@@ -98,6 +98,10 @@ int main(int argc, char** argv) {
         "                [--seed N] [--csv FILE]\n");
     return 0;
   }
+  if (!cli.check("ftm_tune", {"smoke", "out", "cache", "shapes", "cores",
+                               "dtype", "budget", "rounds", "seed", "csv"})) {
+    return 2;
+  }
   if (cli.get_bool("smoke", false)) return smoke();
 
   ftm::tune::TunerOptions to;
