@@ -8,8 +8,9 @@
 // B is *k-pair interleaved* — row p holds k = 2p and 2p+1 as one 32-bit
 // word per column (lo16 = even k), which is what VLDH streams into a
 // vector register as 64 packed halves. The f32-I/O wrapper produces both
-// layouts on the host outside the timed region (half operands are packed
-// once and reused, the standard deployment for reduced-precision GEMM).
+// layouts on the host, outside the simulated cost (half operands are
+// packed once and reused, the standard deployment for reduced-precision
+// GEMM) but inside its host_wall_us.
 #pragma once
 
 #include <cstddef>
@@ -43,7 +44,8 @@ struct HGemmInput {
 };
 
 /// Packs an FP32 row-major matrix into row-major halves with K padded up
-/// to `kp` (zero halves). `out` must hold m * kp entries.
+/// to `kp` (zero halves). `out` must hold m * kp entries. Rounding is
+/// util::f32_to_half, vectorised by hostsimd::narrow_half.
 void pack_a_half(ConstMatrixView a, std::size_t kp, std::uint16_t* out,
                  kernelgen::DType dtype);
 
@@ -60,10 +62,11 @@ GemmResult hgemm(FtimmEngine& engine, const HGemmInput& in,
                  const FtimmOptions& opt = {});
 
 /// FP32-I/O convenience wrapper used by sgemm() when opt.dtype is F16 or
-/// BF16: rounds A/B to opt.dtype on the host (outside the timed region),
-/// pads K up to a multiple of 4, runs hgemm, leaves C in the caller's
-/// FP32 view. N wider than 96 runs as sequential 96-column panels whose
-/// cycles add. Timing-only calls skip the conversion entirely.
+/// BF16: rounds A/B to opt.dtype on the host (outside the simulated cost;
+/// host_wall_us times the whole call, packing included), pads K up to a
+/// multiple of 4, runs hgemm, leaves C in the caller's FP32 view. N wider
+/// than 96 runs as sequential 96-column panels whose cycles add.
+/// Timing-only calls skip the conversion entirely.
 GemmResult hgemm_f32(FtimmEngine& engine, const GemmInput& in,
                      const FtimmOptions& opt = {});
 

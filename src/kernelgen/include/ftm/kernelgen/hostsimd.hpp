@@ -12,6 +12,10 @@
 //   - add_f32/add_f64/relu_f32: elementwise helpers. Element x of the
 //     output depends only on element x of the inputs, through exactly one
 //     IEEE-754 operation, so every tier gives the same bits.
+//   - narrow_half: the FP32 -> F16/BF16 operand rounding in front of the
+//     half GEMMs. Every tier computes util::f32_to_half element by element
+//     (round-to-nearest-even, the same NaN quieting), so the packed
+//     operands are bit-identical whatever the tier.
 // Vector FMAs (AVX2 vfmadd, NEON vfma) round once, exactly like
 // std::fmaf/std::fma, which is why the dispatch tier can change freely
 // without changing a single output bit. Tests (microkernel_test,
@@ -25,6 +29,8 @@
 
 #include <cstddef>
 #include <cstdint>
+
+#include "ftm/kernelgen/spec.hpp"
 
 namespace ftm::kernelgen::hostsimd {
 
@@ -93,5 +99,13 @@ void add_f64(double* acc, const double* x_, std::size_t n);
 /// ReLU. Defined via compare-and-mask on every tier, so NaN and -0.0
 /// inputs produce +0.0 identically under scalar, AVX2, and NEON dispatch.
 void relu_f32(float* x_, std::size_t n);
+
+/// out[x] = util::f32_to_half(in[x], dtype == BF16) for x in [0, n) — the
+/// widen path of replay_f16/replay_bf16 run backwards. F16 on the AVX2 tier
+/// uses F16C VCVTPS2PH with an immediate round-to-nearest-even and, like
+/// replay_f16, runs the scalar tier without F16C; BF16 uses the scalar
+/// bias trick in AVX2 integer lanes. `dtype` is F16 or BF16.
+void narrow_half(const float* in, std::uint16_t* out, std::size_t n,
+                 DType dtype);
 
 }  // namespace ftm::kernelgen::hostsimd

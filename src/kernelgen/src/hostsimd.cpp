@@ -36,6 +36,15 @@ void relu_f32_scalar(float* x_, std::size_t n) {
   for (std::size_t x = 0; x < n; ++x) x_[x] = x_[x] > 0.0f ? x_[x] : 0.0f;
 }
 
+void narrow_half_scalar(const float* in, std::uint16_t* out, std::size_t n,
+                        bool bf16) {
+  if (bf16) {
+    for (std::size_t x = 0; x < n; ++x) out[x] = util::f32_to_bf16(in[x]);
+  } else {
+    for (std::size_t x = 0; x < n; ++x) out[x] = util::f32_to_f16(in[x]);
+  }
+}
+
 #if defined(FTM_HOSTSIMD_X86)
 
 // ---- AVX2 + FMA3 bodies (per-function target attributes) ----------------
@@ -77,6 +86,49 @@ FTM_AVX2_FN void relu_f32_avx2(float* x_, std::size_t n) {
 bool f16c_supported() {
   static const bool ok = __builtin_cpu_supports("f16c") != 0;
   return ok;
+}
+
+// VCVTPS2PH with an immediate rounding mode (MXCSR is not consulted)
+// rounds to nearest-even with gradual underflow, overflows to inf and
+// quiets NaNs keeping the top payload bits: util::f32_to_f16 exactly.
+FTM_F16C_FN void narrow_f16_f16c(const float* in, std::uint16_t* out,
+                                 std::size_t n) {
+  std::size_t x = 0;
+  for (; x + 8 <= n; x += 8) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + x),
+                     _mm256_cvtps_ph(_mm256_loadu_ps(in + x),
+                                     _MM_FROUND_TO_NEAREST_INT));
+  }
+  for (; x < n; ++x) out[x] = util::f32_to_f16(in[x]);
+}
+
+// util::f32_to_bf16 in integer lanes: bits + 0x7FFF + lsb, or the quieted
+// NaN, then the top 16 bits. (AVX512-BF16 VCVTNEPS2BF16 is not used: it
+// flushes FP32 subnormal inputs to zero, which the bias trick does not.)
+FTM_AVX2_FN void narrow_bf16_avx2(const float* in, std::uint16_t* out,
+                                  std::size_t n) {
+  const __m256i bias = _mm256_set1_epi32(0x7FFF);
+  const __m256i one = _mm256_set1_epi32(1);
+  const __m256i abs_mask = _mm256_set1_epi32(0x7FFFFFFF);
+  const __m256i inf = _mm256_set1_epi32(0x7F800000);
+  const __m256i quiet = _mm256_set1_epi32(0x00400000);
+  std::size_t x = 0;
+  for (; x + 8 <= n; x += 8) {
+    const __m256i bits =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + x));
+    const __m256i lsb = _mm256_and_si256(_mm256_srli_epi32(bits, 16), one);
+    const __m256i rounded =
+        _mm256_add_epi32(bits, _mm256_add_epi32(bias, lsb));
+    // |bits| > inf as signed int32 (both below 2^31) is exactly "NaN".
+    const __m256i nan =
+        _mm256_cmpgt_epi32(_mm256_and_si256(bits, abs_mask), inf);
+    const __m256i r = _mm256_srli_epi32(
+        _mm256_blendv_epi8(rounded, _mm256_or_si256(bits, quiet), nan), 16);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + x),
+                     _mm_packus_epi32(_mm256_castsi256_si128(r),
+                                      _mm256_extracti128_si256(r, 1)));
+  }
+  for (; x < n; ++x) out[x] = util::f32_to_bf16(in[x]);
 }
 
 #elif defined(FTM_HOSTSIMD_NEON)
@@ -636,6 +688,29 @@ void relu_f32(float* x_, std::size_t n) {
 #endif
     default: relu_f32_scalar(x_, n); return;
   }
+}
+
+void narrow_half(const float* in, std::uint16_t* out, std::size_t n,
+                 DType dtype) {
+  FTM_EXPECTS(dtype == DType::F16 || dtype == DType::BF16);
+  FTM_EXPECTS(n == 0 || (in != nullptr && out != nullptr));
+  const bool bf16 = dtype == DType::BF16;
+  switch (active_tier()) {
+#if defined(FTM_HOSTSIMD_X86)
+    case Tier::Avx2:
+      if (bf16) {
+        narrow_bf16_avx2(in, out, n);
+        return;
+      }
+      if (f16c_supported()) {
+        narrow_f16_f16c(in, out, n);
+        return;
+      }
+      break;  // AVX2 without F16C: the scalar tier is the f16 reference
+#endif
+    default: break;
+  }
+  narrow_half_scalar(in, out, n, bf16);
 }
 
 void replay_f32(const float* a, const float* b, float* c,

@@ -20,11 +20,12 @@ fail the gate: wall time is machine- and load-dependent, unlike the
 bit-reproducible cycle counts.
 
 An entry marked "informational": true (e.g. the node-layer cycles
-`ftm_bench gate` appends, or the replay goodput figures
-`ftm_bench runtime --replay --json` emits) is exempt from every rule
-above: it is printed for trend visibility, never compared, and never
-required to be present in CURRENT — informational metrics may come from
-other producers than the perf-gate matrix.
+`ftm_bench gate` appends) is exempt from every rule above: it is printed
+for trend visibility, never compared, and never required to be present
+in CURRENT — informational metrics may come from other producers than
+the perf-gate matrix. `ftm_bench runtime --replay --json` writes its
+goodput knees in the same form; they are not in bench/baseline.json,
+because the async replay does not yet repeat from run to run.
 
 Baseline refresh procedure: docs/tuning.md.
 """
