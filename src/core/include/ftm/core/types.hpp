@@ -110,8 +110,8 @@ struct FtimmOptions {
   IntegrityOptions integrity;
   /// Compute precision. F32 is the paper's path. F16/BF16 route sgemm()
   /// through the mixed-precision engine (hgemm.hpp): FP32 views in DDR,
-  /// operands packed to halves outside the timed region, FP32
-  /// accumulation on the DSP. F64 callers use dgemm() directly; the
+  /// operands packed to halves on the host (outside the simulated cost,
+  /// inside host_wall_us), FP32 accumulation on the DSP. F64 callers use dgemm() directly; the
   /// FP32-view entry points (plan, sgemm, the runtime) reject F64.
   kernelgen::DType dtype = kernelgen::DType::F32;
   /// Strassen recursion cutoff: sub-problems whose max dimension is at or

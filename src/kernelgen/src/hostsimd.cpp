@@ -692,7 +692,7 @@ void relu_f32(float* x_, std::size_t n) {
 
 void narrow_half(const float* in, std::uint16_t* out, std::size_t n,
                  DType dtype) {
-  FTM_EXPECTS(dtype == DType::F16 || dtype == DType::BF16);
+  FTM_EXPECTS(is_half(dtype));
   FTM_EXPECTS(n == 0 || (in != nullptr && out != nullptr));
   const bool bf16 = dtype == DType::BF16;
   switch (active_tier()) {

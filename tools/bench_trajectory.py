@@ -41,9 +41,8 @@ def end_to_end_metrics():
 
 def quartiles(values):
     if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
+        return (values[0],) * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
 
 
 def wrap(args):
@@ -123,7 +122,7 @@ def validate(doc):
         return errors + ["perfbench: no workloads"]
     for w, s in perf.items():
         if not isinstance(s.get("pairs"), int) or s["pairs"] < 1:
-            errors.append(f"{w}: pairs missing")
+            errors.append(f"{w}: pairs must be an int >= 1")
         if not s.get("seeds"):
             errors.append(f"{w}: seeds missing")
         for name in end_to_end_metrics():
@@ -139,6 +138,9 @@ def validate(doc):
 
 
 def check(args):
+    if not args.files:
+        print("no trajectory files given")
+        return 1
     bad = 0
     for path in args.files:
         try:
@@ -148,9 +150,6 @@ def check(args):
         for e in errors:
             print(f"{path}: {e}")
         bad += bool(errors)
-    if not args.files:
-        print("no trajectory files given")
-        return 1
     print(f"{len(args.files) - bad}/{len(args.files)} trajectory files ok")
     return 1 if bad else 0
 
