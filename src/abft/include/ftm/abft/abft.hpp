@@ -7,11 +7,12 @@
 // expectations in double precision *before* the GEMM runs, then verifies
 // the produced C against them. One damaged element perturbs exactly one
 // row sum and one column sum by the same delta, so a single error is
-// located at the (row, col) intersection and repaired in place by
-// subtracting the delta; anything that doesn't fit that pattern — two or
-// more damaged elements, or a repair that fails re-verification — is
-// escalated as ftm::IntegrityError so the runtime's resilience path
-// (retry on another cluster, CPU fallback) recomputes the block.
+// located at the (row, col) intersection and rebuilt in place from its
+// row's expectation and the row's other elements; anything that doesn't
+// fit that pattern — two or more damaged elements, a non-finite line sum,
+// or a repair that fails re-verification — is escalated as
+// ftm::IntegrityError so the runtime's resilience path (retry on another
+// cluster, CPU fallback) recomputes the block.
 //
 // Tolerance: the device accumulates C in FP32 while the checker's
 // expectations are (near-)exact doubles, so the comparison must absorb

@@ -19,6 +19,14 @@ constexpr double kTolBase = 24.0;
 // Absolute floor so all-zero lines (zero inputs) still verify cleanly.
 constexpr double kTolFloor = 1e-6;
 
+// A line mismatches when its sum is off by more than the tolerance. A
+// flip to inf or NaN makes the sum non-finite, which `abs(d) > tol`
+// would let through; a line whose expectation is itself non-finite
+// (inf/NaN inputs) cannot be checked.
+bool mismatch(double actual, double expected, double tol) {
+  return std::isfinite(expected) && !(std::abs(actual - expected) <= tol);
+}
+
 }  // namespace
 
 std::uint64_t checksum_flops(std::size_t m, std::size_t n, std::size_t k) {
@@ -118,20 +126,18 @@ VerifyStats Checker::verify(MatrixView c, bool correct, int cluster) const {
       rs += v;
       col_act[j] += v;
     }
-    const double d = rs - row_sum_[i];
-    if (std::abs(d) > row_tol_[i]) {
+    if (mismatch(rs, row_sum_[i], row_tol_[i])) {
       if (bad_rows++ == 0) {
         bad_i = i;
-        delta_row = d;
+        delta_row = rs - row_sum_[i];
       }
     }
   }
   for (std::size_t j = 0; j < n_; ++j) {
-    const double d = col_act[j] - col_sum_[j];
-    if (std::abs(d) > col_tol_[j]) {
+    if (mismatch(col_act[j], col_sum_[j], col_tol_[j])) {
       if (bad_cols++ == 0) {
         bad_j = j;
-        delta_col = d;
+        delta_col = col_act[j] - col_sum_[j];
       }
     }
   }
@@ -141,11 +147,18 @@ VerifyStats Checker::verify(MatrixView c, bool correct, int cluster) const {
   if (correct && bad_rows == 1 && bad_cols == 1 &&
       std::abs(delta_row - delta_col) <=
           row_tol_[bad_i] + col_tol_[bad_j]) {
-    // Consistent single-element damage at (bad_i, bad_j): subtract the
-    // delta and re-verify both lines to guard against a miscorrection
-    // (e.g. two errors in one row whose column deltas happened to merge).
+    // Consistent single-element damage at (bad_i, bad_j): rebuild the
+    // element from its row's expectation minus the row's other elements,
+    // then re-verify both lines to guard against a miscorrection (e.g.
+    // two errors in one row whose column deltas happened to merge).
+    // Subtracting the delta from the damaged value instead would cancel
+    // against a value up to 2^128 times larger and lose the element.
+    double others = 0;
+    for (std::size_t j = 0; j < n_; ++j) {
+      if (j != bad_j) others += c.at(bad_i, j);
+    }
     float& elem = c.at(bad_i, bad_j);
-    elem = static_cast<float>(static_cast<double>(elem) - delta_row);
+    elem = static_cast<float>(row_sum_[bad_i] - others);
     double rs = 0, cs = 0;
     for (std::size_t j = 0; j < n_; ++j) rs += c.at(bad_i, j);
     for (std::size_t i = 0; i < m_; ++i) cs += c.at(i, bad_j);

@@ -8,12 +8,15 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "ftm/abft/abft.hpp"
 #include "ftm/core/ftimm.hpp"
 #include "ftm/cpu/cpu_gemm.hpp"
 #include "ftm/fault/fault.hpp"
+#include "ftm/util/half.hpp"
 #include "ftm/workload/generators.hpp"
 
 namespace ftm::abft {
@@ -78,6 +81,46 @@ TEST(Abft, SingleFlipIsLocatedAndCorrectedInPlace) {
     // A second pass sees a clean block.
     const VerifyStats again = rp.checker.verify(rp.p.c.view(), true);
     EXPECT_EQ(again.detected, 0);
+  }
+}
+
+// The injector's flips (fault::FaultInjector::on_store) set or clear the
+// exponent MSB, scaling an element by 2^128 or 2^-128. The repair must
+// rebuild the element's value, not cancel the huge damaged value against
+// a delta of the same size, which loses the element.
+TEST(Abft, ExponentFlipIsRebuiltToTheElementsValue) {
+  RefProblem rp = make_ref({64, 48, 32}, 29);
+  int rebuilt = 0;
+  for (std::size_t i = 0; i < 64; i += 7) {
+    for (std::size_t j = 0; j < 48; j += 5) {
+      HostMatrix c(64, 48);
+      std::memcpy(c.data(), rp.p.c.data(), 64 * 48 * sizeof(float));
+      const float original = c.at(i, j);
+      c.at(i, j) = util::f32_from_bits(util::f32_bits(original) ^
+                                       ((1u << 30) | (1u << 27)));
+      if (!std::isfinite(c.at(i, j))) continue;
+      const VerifyStats vs = rp.checker.verify(c.view(), true);
+      EXPECT_EQ(vs.corrected, 1) << i << "," << j;
+      EXPECT_NEAR(c.at(i, j), original, 1e-4) << i << "," << j;
+      ++rebuilt;
+    }
+  }
+  EXPECT_GT(rebuilt, 90);
+}
+
+// A flip to inf or NaN makes its row and column sums non-finite; that is
+// damage, never a clean block.
+TEST(Abft, NonFiniteDamageEscalates) {
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    RefProblem rp = make_ref({64, 48, 32}, 31);
+    rp.p.c.at(6, 9) = bad;
+    try {
+      rp.checker.verify(rp.p.c.view(), /*correct=*/true);
+      FAIL() << bad << " passed verification";
+    } catch (const IntegrityError& e) {
+      EXPECT_EQ(e.detected(), 2) << bad;
+    }
   }
 }
 
