@@ -15,6 +15,7 @@
 #include "ftm/kernelgen/hostsimd.hpp"
 #include "ftm/util/half.hpp"
 #include "ftm/util/prng.hpp"
+#include "microkernel_tester.hpp"
 
 namespace ftm::core {
 namespace {
@@ -22,21 +23,13 @@ namespace {
 namespace hostsimd = kernelgen::hostsimd;
 using hostsimd::Tier;
 using kernelgen::DType;
+using kernelgen::MicroKernelTester;
 
 /// Restores the installed SIMD tier on scope exit (tests force tiers).
 struct TierGuard {
   Tier prev = hostsimd::active_tier();
   ~TierGuard() { hostsimd::set_active_tier(prev); }
 };
-
-std::vector<Tier> supported_tiers() {
-  TierGuard guard;
-  std::vector<Tier> out;
-  for (const Tier t : {Tier::Scalar, Tier::Avx2, Tier::Neon}) {
-    if (hostsimd::set_active_tier(t) == t) out.push_back(t);
-  }
-  return out;
-}
 
 const char* name(DType dt) { return dt == DType::BF16 ? "bf16" : "f16"; }
 
@@ -60,7 +53,7 @@ TEST_P(NarrowHalfSweep, BitIdenticalToReferenceOnEveryVectorTier) {
   TierGuard guard;
   // The scalar tier's body is the reference loop itself; it is checked on
   // random bit patterns below, and the sweep covers every vector tier.
-  std::vector<Tier> tiers = supported_tiers();
+  std::vector<Tier> tiers = MicroKernelTester::tiers();
   std::erase(tiers, Tier::Scalar);
   if (tiers.empty()) GTEST_SKIP() << "no vector tier on this host";
   constexpr std::size_t kChunk = 4096;
@@ -125,7 +118,7 @@ TEST(NarrowHalf, TailsAndBoundsOnEveryTier) {
       for (float& x : in) {
         x = util::f32_from_bits(static_cast<std::uint32_t>(rng.next_u64()));
       }
-      for (const Tier t : supported_tiers()) {
+      for (const Tier t : MicroKernelTester::tiers()) {
         hostsimd::set_active_tier(t);
         std::vector<std::uint16_t> out(n + 1, 0xABCDu);
         hostsimd::narrow_half(in.data(), out.data(), n, dt);
@@ -203,7 +196,7 @@ TEST(HalfPack, PackAMatchesReferenceLoop) {
     const Operand a(c.rows, c.cols, c.ld, rng);
     for (const DType dt : {DType::F16, DType::BF16}) {
       const auto expect = reference_pack_a(a.view, c.kp, dt == DType::BF16);
-      for (const Tier t : supported_tiers()) {
+      for (const Tier t : MicroKernelTester::tiers()) {
         hostsimd::set_active_tier(t);
         std::vector<std::uint16_t> got(c.rows * c.kp, 0x5555u);
         pack_a_half(a.view, c.kp, got.data(), dt);
@@ -228,7 +221,7 @@ TEST(HalfPack, PackBMatchesReferenceLoop) {
     const Operand b(c.k, c.n, c.ld, rng);
     for (const DType dt : {DType::F16, DType::BF16}) {
       const auto expect = reference_pack_b(b.view, c.kp, dt == DType::BF16);
-      for (const Tier t : supported_tiers()) {
+      for (const Tier t : MicroKernelTester::tiers()) {
         hostsimd::set_active_tier(t);
         std::vector<std::uint32_t> got((c.kp / 2) * c.n, 0x55555555u);
         pack_b_half(b.view, c.kp, got.data(), dt);
