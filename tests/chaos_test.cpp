@@ -314,42 +314,42 @@ TEST(Chaos, StalledClusterQuarantinedViaSimDeadline) {
   ASSERT_GT(healthy, 0u);
 
   fault::FaultPlan plan;
-  plan.cluster(1).stall_multiplier = 8.0;
+  plan.cluster(0).stall_multiplier = 8.0;
   fault::FaultInjector fi(plan);
   RuntimeOptions ro = resilient_options(&fi, 2);
-  // Stealing off so cluster 1 must execute its own bound share — making
-  // the three consecutive deadline misses (and the quarantine) certain.
+  // Stealing off so a request runs on the cluster it is bound to.
   ro.work_stealing = false;
   // Between 1x (healthy passes) and 8x (stalled blows it). The recovery
   // probe's 64^3 canary also blows it at 8x, so the quarantine holds.
   ro.resilience.deadline_cycles = 4 * healthy;
   GemmRuntime rt(ro);
 
-  std::vector<ChaosProblem> problems;
-  std::vector<std::future<GemmResult>> futs;
+  // One request in flight at a time, so every submission finds both
+  // clusters idle and binds to the lowest-indexed enabled one: the stalled
+  // cluster 0 takes the first three requests (three consecutive deadline
+  // misses, each retried on cluster 1) and none once quarantined. With
+  // concurrent submissions the binding would follow host timing instead.
   for (int i = 0; i < 30; ++i) {
-    problems.push_back(make_chaos_problem(shape, 900 + i));
-    auto& p = problems.back().p;
-    futs.push_back(
-        rt.submit(GemmInput::bound(p.a.view(), p.b.view(), p.c.view())));
-  }
-  for (int i = 0; i < 30; ++i) {
-    const GemmResult r = futs[static_cast<std::size_t>(i)].get();
-    ChaosProblem& cp = problems[static_cast<std::size_t>(i)];
-    EXPECT_LT(max_rel_diff(cp.p.c.view(), cp.expected.view()),
-              gemm_tolerance(cp.p.k))
+    ChaosProblem cp = make_chaos_problem(shape, 900 + i);
+    auto& p = cp.p;
+    const GemmResult r =
+        rt.submit(GemmInput::bound(p.a.view(), p.b.view(), p.c.view()))
+            .get();
+    rt.wait_idle();  // the cluster's load is released after delivery
+    EXPECT_LT(max_rel_diff(p.c.view(), cp.expected.view()),
+              gemm_tolerance(p.k))
         << "request " << i;
-    EXPECT_FALSE(r.cpu_fallback) << "cluster 0 can absorb all retries";
+    EXPECT_FALSE(r.cpu_fallback) << "cluster 1 can absorb all retries";
   }
   const RuntimeStats s = rt.stats();
   EXPECT_EQ(s.completed, 30u);
   EXPECT_EQ(s.failed, 0u);
   EXPECT_GE(s.deadline_misses, 3u);
   EXPECT_GE(s.retries, 3u);
-  EXPECT_GE(s.cluster_quarantines[1], 1u);
-  EXPECT_EQ(s.cluster_quarantines[0], 0u);
-  EXPECT_TRUE(rt.quarantined(1));
-  EXPECT_FALSE(rt.quarantined(0));
+  EXPECT_GE(s.cluster_quarantines[0], 1u);
+  EXPECT_EQ(s.cluster_quarantines[1], 0u);
+  EXPECT_TRUE(rt.quarantined(0));
+  EXPECT_FALSE(rt.quarantined(1));
   EXPECT_GT(fi.injected(FaultKind::ClusterStall), 0u);
 }
 

@@ -282,6 +282,10 @@ struct LookupCase {
   Shape shape;
 };
 
+// Without this, gtest lists the case as a byte dump that starts with the
+// address of `name`, so the listed test name would change with every link.
+void PrintTo(const LookupCase& lc, std::ostream* os) { *os << lc.name; }
+
 class KernelLookups : public ::testing::TestWithParam<LookupCase> {};
 
 TEST_P(KernelLookups, OncePerDistinctSpecPerRun) {
