@@ -1,13 +1,11 @@
 // Extension experiments beyond the paper's figures: batched small GEMMs,
-// hardware-sensitivity what-ifs, and the FP16/BF16 tier with the Strassen
-// crossover study.
+// hardware-sensitivity what-ifs, and the FP16/BF16 tier.
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "ftm/core/batched.hpp"
 #include "ftm/core/ftimm.hpp"
-#include "ftm/core/strassen.hpp"
 #include "ftm/workload/sweeps.hpp"
 #include "harness.hpp"
 
@@ -147,17 +145,12 @@ int sensitivity(const Cli&) {
 }
 
 // Mixed precision (docs/precision.md): the shape taxonomy across FP32 /
-// FP16 / BF16 against the dtype-aware roofline, then the Strassen
-// crossover study (square dims vs the best blocked variant). --full adds
-// the 32768^3 crossover point (~30 s). --smoke checks the CI invariants:
-//   (a) on compute-bound type-III shapes the half tiers run >= 1.8x the
-//       FP32 FLOP rate (the VFMULAH32 2-way dot doubles the ceiling;
-//       margin below 2.0x absorbs the unchanged fill/drain overhead);
-//   (b) forced Strassen beats the best blocked variant at 16384^3 with
-//       the default cutoff (one recursion level past the crossover).
+// FP16 / BF16 against the dtype-aware roofline. --smoke checks the CI
+// invariant: on compute-bound type-III shapes the half tiers run >= 1.8x
+// the FP32 FLOP rate (the VFMULAH32 2-way dot doubles the ceiling; margin
+// below 2.0x absorbs the unchanged fill/drain overhead).
 int mixed(const Cli& cli) {
   const bool smoke = cli.get_bool("smoke", false);
-  const bool full = cli.get_bool("full", false);
 
   const auto& mc = isa::default_machine();
   core::FtimmEngine engine(mc);
@@ -220,44 +213,13 @@ int mixed(const Cli& cli) {
   }
   t.print("mixed-precision sweep (timing-only, dtype-aware roofline)");
 
-  std::vector<std::size_t> dims = smoke ? std::vector<std::size_t>{16384}
-                                        : std::vector<std::size_t>{
-                                              4096, 8192, 16384};
-  if (full && !smoke) dims.push_back(32768);
-  Table st({"d", "blocked cycles", "strassen cycles", "levels", "speedup"});
-  for (const std::size_t d : dims) {
-    const auto in = GemmInput::shape_only(d, d, d);
-    const auto rb = engine.sgemm_autotuned(in, base);
-    FtimmOptions so = base;
-    so.force = core::Strategy::Strassen;
-    const auto rs = engine.sgemm(in, so);
-    const double speedup =
-        static_cast<double>(rb.cycles) / static_cast<double>(rs.cycles);
-    st.begin_row()
-        .cell(d)
-        .cell(static_cast<std::size_t>(rb.cycles))
-        .cell(static_cast<std::size_t>(rs.cycles))
-        .cell(static_cast<long long>(rs.strassen_levels))
-        .cell(speedup, 3);
-    if (smoke && d >= 16384 && rs.cycles >= rb.cycles) {
-      std::fprintf(stderr,
-                   "smoke: strassen (%llu) did not beat blocked (%llu) "
-                   "at d=%zu\n",
-                   static_cast<unsigned long long>(rs.cycles),
-                   static_cast<unsigned long long>(rb.cycles), d);
-      ok = false;
-    }
-  }
-  st.print("Strassen vs best blocked (default cutoff " +
-           std::to_string(core::kStrassenDefaultCutoff) + ")");
 
   const std::string csv =
       cli.get("csv", smoke ? "" : result_path("mixed_precision.csv"));
   if (!csv.empty()) save(t, csv);
   if (smoke) {
     if (!ok) return 1;
-    std::printf("smoke: ok (half tier >= 1.8x on type III, strassen wins "
-                "at 16384)\n");
+    std::printf("smoke: ok (half tier >= 1.8x on type III)\n");
   }
   return 0;
 }

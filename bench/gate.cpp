@@ -195,12 +195,11 @@ int gate(const Cli& cli) {
   }
   at.print("perf gate: ABFT checksum overhead (informational)");
 
-  // ---- mixed-precision tier + Strassen ----------------------------------
+  // ---- mixed-precision tier ---------------------------------------------
   // Gated like the FP32 matrix: the simulator is bit-reproducible, so any
-  // drift in the half-kernel or Strassen cost model fails the external
-  // gate. Half entries cover the compute-bound type-III shapes (where the
-  // DOT2 ceiling shows) plus the regular anchor; the Strassen entry pins
-  // the one-level recursion past the measured crossover.
+  // drift in the half-kernel cost model fails the external gate. Half
+  // entries cover the compute-bound type-III shapes (where the DOT2
+  // ceiling shows) plus the regular anchor.
   struct MixedRow {
     Shape s;
     std::uint64_t def, f16, bf16;  ///< def: the FP32 default plan
@@ -223,13 +222,6 @@ int gate(const Cli& cli) {
     r.wall[1] = rb.host_wall_us;
     mixed_rows.push_back(r);
   }
-  FtimmOptions sopt = timing_only();
-  sopt.force = Strategy::Strassen;
-  const Shape strassen_shape{16384, 16384, 16384, false};
-  const core::GemmResult strassen_r = eng.sgemm(
-      GemmInput::shape_only(strassen_shape.m, strassen_shape.n,
-                            strassen_shape.k),
-      sopt);
   Table mt({"M", "N", "K", "f32 default", "f16", "bf16", "half speedup"});
   for (const MixedRow& r : mixed_rows) {
     mt.begin_row()
@@ -241,9 +233,7 @@ int gate(const Cli& cli) {
         .cell(static_cast<std::size_t>(r.bf16))
         .cell(static_cast<double>(r.def) / static_cast<double>(r.f16), 2);
   }
-  mt.print("perf gate: mixed-precision tier (strassen@16384^3: " +
-           std::to_string(strassen_r.cycles) + " cycles, " +
-           std::to_string(strassen_r.strassen_levels) + " level)");
+  mt.print("perf gate: mixed-precision tier");
 
   const std::vector<GraphRow> graph_rows = run_graph_chains();
   Table gt({"chain", "nodes", "cycles", "DDR KB (planned)", "saved KB"});
@@ -287,13 +277,11 @@ int gate(const Cli& cli) {
                        .variant = "graph_ddr",
                        .cycles = r.result.ddr_bytes});
   }
-  // Mixed-precision tier + Strassen: gated (bit-reproducible cycle model).
+  // Mixed-precision tier: gated (bit-reproducible cycle model).
   for (const MixedRow& r : mixed_rows) {
     emit(r.s, "hgemm_f16", r.f16, r.wall[0]);
     emit(r.s, "hgemm_bf16", r.bf16, r.wall[1]);
   }
-  emit(strassen_shape, "strassen", strassen_r.cycles,
-       strassen_r.host_wall_us);
   // ABFT overhead, informational: bench_compare.py prints the drift but
   // can never fail on it (checksum-cost-model changes are policy, not
   // regressions; the gated entries above already pin the verify-off
@@ -368,10 +356,6 @@ int gate(const Cli& cli) {
                    r.s.m, r.s.n, r.s.k);
       ++failures;
     }
-  }
-  if (strassen_r.strassen_levels < 1) {
-    std::fprintf(stderr, "GATE FAIL: strassen did not recurse at 16384\n");
-    ++failures;
   }
   if (big_wins < 3) {
     std::fprintf(stderr,

@@ -60,8 +60,8 @@ const std::vector<Experiment>& experiments() {
        "FP64 micro-kernels vs the moved broadcast wall"},
       {"sensitivity", bench::sensitivity, {}, true,
        "DDR bandwidth / DMA startup / broadcast what-ifs"},
-      {"mixed", bench::mixed, {"smoke", "full", "csv"}, true,
-       "FP16/BF16 tier vs the doubled roofline + Strassen crossover"},
+      {"mixed", bench::mixed, {"smoke", "csv"}, true,
+       "FP16/BF16 tier vs the doubled roofline"},
       {"runtime", bench::runtime_sweep,
        {"replay", "sdc-rate", "fault-rate", "requests", "seed", "smoke",
         "json", "trace"},

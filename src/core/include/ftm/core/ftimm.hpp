@@ -42,8 +42,6 @@ struct GemmPlan {
   /// DMA buffering depth the plan was tuned with: 0 = follow
   /// FtimmOptions::pingpong, 1 = single-buffered, >= 2 = ping-pong.
   int dma_buffers = 0;
-  /// Recursion cutoff when strategy == Strassen (0 = built-in default).
-  std::size_t strassen_cutoff = 0;
 };
 
 /// Source of pre-computed plans consulted by FtimmEngine::plan before the
@@ -84,11 +82,6 @@ class FtimmEngine {
 
   /// The TGEMM baseline (Algorithm 1) with its fixed blocks.
   GemmResult tgemm(const GemmInput& in, const FtimmOptions& opt = {});
-
-  /// Empirical auto-tuner: times every applicable strategy in timing-only
-  /// mode and runs the winner (functionally if requested). The analytic
-  /// dispatcher is the default; this is the measured alternative.
-  GemmResult sgemm_autotuned(const GemmInput& in, const FtimmOptions& opt = {});
 
   /// Installs (or clears, with nullptr) a tuned-plan source. plan()
   /// consults it for Strategy::Auto requests with dynamic blocks and

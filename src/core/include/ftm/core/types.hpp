@@ -19,10 +19,6 @@ enum class Strategy {
   TGemm,      ///< Algorithm 1 baseline (N-dimension parallel, fixed blocks)
   ParallelM,  ///< Algorithm 4 (M-dimension parallel, B panel in GSM)
   ParallelK,  ///< Algorithm 5 (K-dimension parallel, GSM reduction)
-  /// Strassen recursion over the blocked FP32 path (extension). Never
-  /// chosen by the analytic dispatcher — only a forced option or a tuned
-  /// plan selects it, so every Auto shape keeps its pre-Strassen cycles.
-  Strassen,
 };
 
 const char* to_string(Strategy s);
@@ -114,10 +110,6 @@ struct FtimmOptions {
   /// inside host_wall_us), FP32 accumulation on the DSP. F64 callers use dgemm() directly; the
   /// FP32-view entry points (plan, sgemm, the runtime) reject F64.
   kernelgen::DType dtype = kernelgen::DType::F32;
-  /// Strassen recursion cutoff: sub-problems whose max dimension is at or
-  /// below this run the blocked FP32 path. 0 = the built-in default
-  /// (strassen.hpp). Only consulted when Strategy::Strassen executes.
-  std::size_t strassen_cutoff = 0;
 };
 
 /// What a simulated GEMM cost.
@@ -148,8 +140,6 @@ struct GemmResult {
   std::uint64_t checksum_cycles = 0;
   /// Compute precision this result was produced with.
   kernelgen::DType dtype = kernelgen::DType::F32;
-  /// Strassen recursion depth actually taken (0 = no Strassen level).
-  int strassen_levels = 0;
 };
 
 }  // namespace ftm::core

@@ -1,12 +1,10 @@
 #include "ftm/core/ftimm.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <optional>
 
 #include "ftm/abft/abft.hpp"
 #include "ftm/core/hgemm.hpp"
-#include "ftm/core/strassen.hpp"
 #include "ftm/trace/trace.hpp"
 
 namespace ftm::core {
@@ -17,7 +15,6 @@ const char* to_string(Strategy s) {
     case Strategy::TGemm: return "tgemm";
     case Strategy::ParallelM: return "ftimm-M";
     case Strategy::ParallelK: return "ftimm-K";
-    case Strategy::Strassen: return "strassen";
   }
   return "?";
 }
@@ -101,10 +98,6 @@ GemmPlan FtimmEngine::plan(std::size_t m, std::size_t n, std::size_t k,
     case Strategy::TGemm:
       p.tblocks = tblocks_;
       break;
-    case Strategy::Strassen:
-      // Leaves re-enter plan() with Auto force; only the cutoff travels.
-      p.strassen_cutoff = opt.strassen_cutoff;
-      break;
     case Strategy::Auto:
       FTM_ASSERT(false);
   }
@@ -151,18 +144,7 @@ GemmResult FtimmEngine::sgemm_planned(const GemmInput& in,
   // Mixed precision (docs/precision.md): F16/BF16 requests run hgemm_f32,
   // which adjusts its own half-format blocks (2-byte operands change every
   // footprint) — the FP32 plan does not apply.
-  if (kernelgen::is_half(eff.dtype) && plan.strategy != Strategy::Strassen) {
-    return hgemm_f32(*this, in, eff);
-  }
-
-  // Strassen reassociates the accumulation, which breaks the calibrated
-  // ABFT checksum tolerances — integrity stays on the blocked paths
-  // (docs/precision.md), so the Strassen branch returns directly.
-  if (plan.strategy == Strategy::Strassen) {
-    FtimmOptions seff = eff;
-    seff.dtype = kernelgen::DType::F32;  // Strassen recurses at FP32
-    return strassen_gemm(*this, in, plan.strassen_cutoff, seff);
-  }
+  if (kernelgen::is_half(eff.dtype)) return hgemm_f32(*this, in, eff);
 
   // ABFT (ISSUE 8, docs/robustness.md): capture the checksum expectations
   // before the strategy mutates C. Timing-only runs have no data to
@@ -186,7 +168,6 @@ GemmResult FtimmEngine::sgemm_planned(const GemmInput& in,
     case Strategy::TGemm:
       r = run_tgemm(cluster_, *cache_, in, plan.tblocks, eff);
       break;
-    case Strategy::Strassen:  // handled (and returned) above
     case Strategy::Auto:
       FTM_ASSERT(false);
       return {};
@@ -227,31 +208,6 @@ GemmResult FtimmEngine::sgemm(const GemmInput& in, const FtimmOptions& opt) {
 GemmResult FtimmEngine::tgemm(const GemmInput& in, const FtimmOptions& opt) {
   FTM_EXPECTS(in.m >= 1 && in.n >= 1 && in.k >= 1);
   return run_tgemm(cluster_, *cache_, in, tblocks_, opt);
-}
-
-GemmResult FtimmEngine::sgemm_autotuned(const GemmInput& in,
-                                        const FtimmOptions& opt) {
-  // Dry-run the candidates in timing-only mode (cheap: no data movement),
-  // then execute the fastest with the caller's settings.
-  FtimmOptions dry = opt;
-  dry.functional = false;
-  GemmInput shape = GemmInput::shape_only(in.m, in.n, in.k);
-
-  Strategy best = Strategy::TGemm;
-  std::uint64_t best_cycles = ~std::uint64_t{0};
-  for (Strategy s :
-       {Strategy::ParallelM, Strategy::ParallelK, Strategy::TGemm}) {
-    dry.force = s;
-    FTM_TRACE_COUNTER("autotune.dry_runs", 1);
-    const GemmResult r = sgemm(shape, dry);
-    if (r.cycles < best_cycles) {
-      best_cycles = r.cycles;
-      best = s;
-    }
-  }
-  FtimmOptions run = opt;
-  run.force = best;
-  return sgemm(in, run);
 }
 
 }  // namespace ftm::core

@@ -16,13 +16,13 @@
 //     half GEMMs. Every tier computes util::f32_to_half element by element
 //     (round-to-nearest-even, the same NaN quieting), so the packed
 //     operands are bit-identical whatever the tier.
-// Vector FMAs (AVX2 vfmadd, NEON vfma) round once, exactly like
+// Vector FMAs (AVX2 vfmadd) round once, exactly like
 // std::fmaf/std::fma, which is why the dispatch tier can change freely
 // without changing a single output bit. Tests (microkernel_test,
 // host_exec_test) enforce this on every supported tier.
 //
-// Dispatch is decided at runtime from CPUID (x86) or baked in (NEON is
-// baseline on AArch64); the AVX2 bodies are compiled with per-function
+// Dispatch is decided at runtime from CPUID on x86-64; every other host
+// runs the scalar tier. The AVX2 bodies are compiled with per-function
 // target attributes so the rest of the build needs no -march flags, and a
 // -march=x86-64-v3 CI leg runs them on the CI hosts.
 #pragma once
@@ -37,7 +37,6 @@ namespace ftm::kernelgen::hostsimd {
 enum class Tier {
   Scalar = 0,  ///< portable std::fmaf/std::fma loops
   Avx2 = 1,    ///< AVX2 + FMA3, runtime-detected on x86-64
-  Neon = 2,    ///< baseline on AArch64
 };
 
 const char* to_string(Tier t);
@@ -97,7 +96,7 @@ void add_f64(double* acc, const double* x_, std::size_t n);
 
 /// x_[x] = x_[x] > 0 ? x_[x] : 0 for x in [0, n) — the graph executor's
 /// ReLU. Defined via compare-and-mask on every tier, so NaN and -0.0
-/// inputs produce +0.0 identically under scalar, AVX2, and NEON dispatch.
+/// inputs produce +0.0 identically under scalar and AVX2 dispatch.
 void relu_f32(float* x_, std::size_t n);
 
 /// out[x] = util::f32_to_half(in[x], dtype == BF16) for x in [0, n) — the

@@ -13,9 +13,6 @@
 #define FTM_HOSTSIMD_X86 1
 #define FTM_AVX2_FN __attribute__((target("avx2,fma")))
 #define FTM_F16C_FN __attribute__((target("avx2,fma,f16c")))
-#elif defined(__aarch64__)
-#include <arm_neon.h>
-#define FTM_HOSTSIMD_NEON 1
 #endif
 
 namespace ftm::kernelgen::hostsimd {
@@ -129,39 +126,6 @@ FTM_AVX2_FN void narrow_bf16_avx2(const float* in, std::uint16_t* out,
                                       _mm256_extracti128_si256(r, 1)));
   }
   for (; x < n; ++x) out[x] = util::f32_to_bf16(in[x]);
-}
-
-#elif defined(FTM_HOSTSIMD_NEON)
-
-// ---- NEON bodies (baseline ISA on AArch64, no dispatch needed) ----------
-
-void add_f32_neon(float* acc, const float* x_, std::size_t n) {
-  std::size_t x = 0;
-  for (; x + 4 <= n; x += 4) {
-    vst1q_f32(acc + x, vaddq_f32(vld1q_f32(acc + x), vld1q_f32(x_ + x)));
-  }
-  for (; x < n; ++x) acc[x] += x_[x];
-}
-
-void add_f64_neon(double* acc, const double* x_, std::size_t n) {
-  std::size_t x = 0;
-  for (; x + 2 <= n; x += 2) {
-    vst1q_f64(acc + x, vaddq_f64(vld1q_f64(acc + x), vld1q_f64(x_ + x)));
-  }
-  for (; x < n; ++x) acc[x] += x_[x];
-}
-
-void relu_f32_neon(float* x_, std::size_t n) {
-  // Compare-and-mask, same semantics as the scalar/AVX2 bodies.
-  const float32x4_t zero = vdupq_n_f32(0.0f);
-  std::size_t x = 0;
-  for (; x + 4 <= n; x += 4) {
-    const float32x4_t vx = vld1q_f32(x_ + x);
-    vst1q_f32(x_ + x,
-              vreinterpretq_f32_u32(vandq_u32(vreinterpretq_u32_f32(vx),
-                                              vcgtq_f32(vx, zero))));
-  }
-  for (; x < n; ++x) x_[x] = x_[x] > 0.0f ? x_[x] : 0.0f;
 }
 
 #endif
@@ -516,73 +480,6 @@ FTM_F16C_FN __attribute__((flatten)) void replay_f16c(const AElem<L>* a,
   replay_with<L>(a, b, c, s, aw);
 }
 
-#elif defined(FTM_HOSTSIMD_NEON)
-
-struct NeonF32 {
-  using T = float;
-  using V = float32x4_t;
-  static constexpr int kWidth = 4;
-  static constexpr int kPerWord = 1;
-  static constexpr int kRegs = 32;
-  static V zero() { return vdupq_n_f32(0.0f); }
-  static V load(const T* p) { return vld1q_f32(p); }
-  static void store(T* p, V v) { vst1q_f32(p, v); }
-  static V bcast(T x) { return vdupq_n_f32(x); }
-  static V fma(V a, V b, V c) { return vfmaq_f32(c, a, b); }
-  static V add(V a, V b) { return vaddq_f32(a, b); }
-};
-
-struct NeonF64 {
-  using T = double;
-  using V = float64x2_t;
-  static constexpr int kWidth = 2;
-  static constexpr int kPerWord = 1;
-  static constexpr int kRegs = 32;
-  static V zero() { return vdupq_n_f64(0.0); }
-  static V load(const T* p) { return vld1q_f64(p); }
-  static void store(T* p, V v) { vst1q_f64(p, v); }
-  static V bcast(T x) { return vdupq_n_f64(x); }
-  static V fma(V a, V b, V c) { return vfmaq_f64(c, a, b); }
-  static V add(V a, V b) { return vaddq_f64(a, b); }
-};
-
-struct NeonBf16 : NeonF32 {
-  static constexpr int kPerWord = 2;
-  static void load_b(const std::uint32_t* p, V (&out)[2]) {
-    const uint32x4_t w = vld1q_u32(p);
-    out[0] = vreinterpretq_f32_u32(vshlq_n_u32(w, 16));
-    out[1] = vreinterpretq_f32_u32(vandq_u32(w, vdupq_n_u32(0xFFFF0000u)));
-  }
-  static void widen(const std::uint16_t* h, float* out, std::size_t n) {
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const uint32x4_t w = vshll_n_u16(vld1_u16(h + i), 16);
-      vst1q_f32(out + i, vreinterpretq_f32_u32(w));
-    }
-    for (; i < n; ++i) out[i] = util::bf16_to_f32(h[i]);
-  }
-};
-
-#if defined(__ARM_FP16_FORMAT_IEEE)
-struct NeonF16 : NeonF32 {
-  static constexpr int kPerWord = 2;
-  static void load_b(const std::uint32_t* p, V (&out)[2]) {
-    const uint32x4_t w = vld1q_u32(p);
-    const uint16x4_t evens = vmovn_u32(vandq_u32(w, vdupq_n_u32(0xFFFF)));
-    const uint16x4_t odds = vmovn_u32(vshrq_n_u32(w, 16));
-    out[0] = vcvt_f32_f16(vreinterpret_f16_u16(evens));
-    out[1] = vcvt_f32_f16(vreinterpret_f16_u16(odds));
-  }
-  static void widen(const std::uint16_t* h, float* out, std::size_t n) {
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      vst1q_f32(out + i, vcvt_f32_f16(vreinterpret_f16_u16(vld1_u16(h + i))));
-    }
-    for (; i < n; ++i) out[i] = util::f16_to_f32(h[i]);
-  }
-};
-#endif
-
 #endif
 
 /// Per-thread buffer for a half kernel's widened A (ms * ka floats).
@@ -611,12 +508,6 @@ bool supported(Tier t) {
 #else
       return false;
 #endif
-    case Tier::Neon:
-#if defined(FTM_HOSTSIMD_NEON)
-      return true;
-#else
-      return false;
-#endif
   }
   return false;
 }
@@ -632,7 +523,6 @@ const char* to_string(Tier t) {
   switch (t) {
     case Tier::Scalar: return "scalar";
     case Tier::Avx2: return "avx2";
-    case Tier::Neon: return "neon";
   }
   return "?";
 }
@@ -640,7 +530,6 @@ const char* to_string(Tier t) {
 Tier best_tier() {
   static const Tier best = [] {
     if (supported(Tier::Avx2)) return Tier::Avx2;
-    if (supported(Tier::Neon)) return Tier::Neon;
     return Tier::Scalar;
   }();
   return best;
@@ -659,8 +548,6 @@ void add_f32(float* acc, const float* x_, std::size_t n) {
   switch (active_tier()) {
 #if defined(FTM_HOSTSIMD_X86)
     case Tier::Avx2: add_f32_avx2(acc, x_, n); return;
-#elif defined(FTM_HOSTSIMD_NEON)
-    case Tier::Neon: add_f32_neon(acc, x_, n); return;
 #endif
     default: add_f32_scalar(acc, x_, n); return;
   }
@@ -671,8 +558,6 @@ void add_f64(double* acc, const double* x_, std::size_t n) {
   switch (active_tier()) {
 #if defined(FTM_HOSTSIMD_X86)
     case Tier::Avx2: add_f64_avx2(acc, x_, n); return;
-#elif defined(FTM_HOSTSIMD_NEON)
-    case Tier::Neon: add_f64_neon(acc, x_, n); return;
 #endif
     default: add_f64_scalar(acc, x_, n); return;
   }
@@ -683,8 +568,6 @@ void relu_f32(float* x_, std::size_t n) {
   switch (active_tier()) {
 #if defined(FTM_HOSTSIMD_X86)
     case Tier::Avx2: relu_f32_avx2(x_, n); return;
-#elif defined(FTM_HOSTSIMD_NEON)
-    case Tier::Neon: relu_f32_neon(x_, n); return;
 #endif
     default: relu_f32_scalar(x_, n); return;
   }
@@ -719,8 +602,6 @@ void replay_f32(const float* a, const float* b, float* c,
   switch (active_tier()) {
 #if defined(FTM_HOSTSIMD_X86)
     case Tier::Avx2: replay_avx2<Avx2F32>(a, b, c, s, nullptr); return;
-#elif defined(FTM_HOSTSIMD_NEON)
-    case Tier::Neon: replay_portable<NeonF32>(a, b, c, s, nullptr); return;
 #endif
     default: replay_portable<ScalarF32>(a, b, c, s, nullptr); return;
   }
@@ -732,8 +613,6 @@ void replay_f64(const double* a, const double* b, double* c,
   switch (active_tier()) {
 #if defined(FTM_HOSTSIMD_X86)
     case Tier::Avx2: replay_avx2<Avx2F64>(a, b, c, s, nullptr); return;
-#elif defined(FTM_HOSTSIMD_NEON)
-    case Tier::Neon: replay_portable<NeonF64>(a, b, c, s, nullptr); return;
 #endif
     default: replay_portable<ScalarF64>(a, b, c, s, nullptr); return;
   }
@@ -751,8 +630,6 @@ void replay_f16(const std::uint16_t* a, const std::uint32_t* b, float* c,
         return;
       }
       break;  // AVX2 without F16C: the scalar tier is the f16 reference
-#elif defined(FTM_HOSTSIMD_NEON) && defined(__ARM_FP16_FORMAT_IEEE)
-    case Tier::Neon: replay_portable<NeonF16>(a, b, c, s, aw); return;
 #endif
     default: break;
   }
@@ -766,8 +643,6 @@ void replay_bf16(const std::uint16_t* a, const std::uint32_t* b, float* c,
   switch (active_tier()) {
 #if defined(FTM_HOSTSIMD_X86)
     case Tier::Avx2: replay_avx2<Avx2Bf16>(a, b, c, s, aw); return;
-#elif defined(FTM_HOSTSIMD_NEON)
-    case Tier::Neon: replay_portable<NeonBf16>(a, b, c, s, aw); return;
 #endif
     default: replay_portable<ScalarBf16>(a, b, c, s, aw); return;
   }

@@ -35,7 +35,6 @@ struct RequestStats {
   core::Strategy strategy = core::Strategy::Auto;
   /// Compute dtype the dispatch ran at (ISSUE 10, docs/precision.md).
   kernelgen::DType dtype = kernelgen::DType::F32;
-  int strassen_levels = 0;  ///< recursion depth when strategy == Strassen
   // QoS / coalescing (ISSUE 7). finish_cycle - arrival_cycle is the
   // request's simulated latency; the replay benchmark computes goodput
   // from it against the deadline the caller assigned.

@@ -904,10 +904,6 @@ void GemmRuntime::process(int cluster, std::unique_ptr<Request> req,
     rs.sim_cycles = result.cycles;
     rs.strategy = result.strategy;
     rs.dtype = result.dtype;
-    rs.strassen_levels = result.strassen_levels;
-    if (result.strassen_levels > 0) {
-      FTM_TRACE_COUNTER("strassen.levels", result.strassen_levels);
-    }
     rs.host_wall_us = result.host_wall_us;
     rs.checksum_checks = result.checksum_checks;
     rs.sdc_detected = result.sdc_detected;

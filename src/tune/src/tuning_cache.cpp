@@ -204,7 +204,6 @@ bool strategy_from_string(const std::string& s, core::Strategy* out) {
   if (s == "tgemm") *out = core::Strategy::TGemm;
   else if (s == "ftimm-M") *out = core::Strategy::ParallelM;
   else if (s == "ftimm-K") *out = core::Strategy::ParallelK;
-  else if (s == "strassen") *out = core::Strategy::Strassen;
   else return false;
   return true;
 }
@@ -259,8 +258,6 @@ bool parse_entry(const JValue& e, TunedEntry* out) {
              read_size(b, "kg", &t.tblocks.kg) &&
              read_size(b, "na", &t.tblocks.na) &&
              read_size(b, "ms", &t.tblocks.ms) && (*out = t, true);
-    case core::Strategy::Strassen:
-      return read_size(b, "cutoff", &t.strassen_cutoff) && (*out = t, true);
     default: return false;
   }
 }
@@ -287,9 +284,6 @@ void write_entry(std::ostringstream& os, const TunedEntry& t) {
          << ", \"ma\": " << t.kblocks.ma << ", \"na\": " << t.kblocks.na
          << ", \"ka\": " << t.kblocks.ka << ", \"ms\": " << t.kblocks.ms
          << ", \"reduce_rows\": " << t.kblocks.reduce_rows;
-      break;
-    case core::Strategy::Strassen:
-      os << "\"cutoff\": " << t.strassen_cutoff;
       break;
     default:
       os << "\"mg\": " << t.tblocks.mg << ", \"kg\": " << t.tblocks.kg
@@ -440,10 +434,6 @@ std::optional<core::GemmPlan> TuningCache::lookup(
       case core::Strategy::TGemm:
         plan.tblocks = entry->tblocks;
         core::check_t_blocks(plan.tblocks, mc_);
-        break;
-      case core::Strategy::Strassen:
-        // No blocks to bind: the cutoff travels and the leaves autotune.
-        plan.strassen_cutoff = entry->strassen_cutoff;
         break;
       default: return std::nullopt;
     }

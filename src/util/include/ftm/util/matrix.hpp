@@ -151,7 +151,8 @@ class HostMatrix {
 };
 
 /// Max relative element difference between two equally-sized views,
-/// with denominators clamped to 1 so zeros compare absolutely.
+/// with denominators clamped to 1 so zeros compare absolutely. A pair that
+/// differs with a NaN or Inf on either side gives +inf.
 double max_rel_diff(ConstMatrixView a, ConstMatrixView b);
 
 /// Tolerance appropriate for comparing two FP32 GEMM results whose

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <new>
 
 namespace ftm {
@@ -39,6 +40,11 @@ double max_rel_diff(ConstMatrixView a, ConstMatrixView b) {
     for (std::size_t c = 0; c < a.cols(); ++c) {
       const double x = a(r, c);
       const double y = b(r, c);
+      if (x == y) continue;  // an Inf that matches its reference scores 0
+      // A NaN or Inf that differs has no finite relative error.
+      if (!std::isfinite(x) || !std::isfinite(y)) {
+        return std::numeric_limits<double>::infinity();
+      }
       const double denom = std::max({std::abs(x), std::abs(y), 1.0});
       worst = std::max(worst, std::abs(x - y) / denom);
     }

@@ -222,15 +222,6 @@ TEST(Regression, TgemmWideNUsesMultipleCores) {
             3.0 * static_cast<double>(narrow.cycles));
 }
 
-TEST(Autotuner, MatchesReferenceAndReportsStrategy) {
-  workload::GemmProblem p = workload::make_problem(4096, 32, 32, 3);
-  const HostMatrix expect = reference_of(p);
-  const GemmResult r = engine().sgemm_autotuned(
-      GemmInput::bound(p.a.view(), p.b.view(), p.c.view()));
-  EXPECT_NE(r.strategy, Strategy::Auto);
-  EXPECT_LT(max_rel_diff(p.c.view(), expect.view()), gemm_tolerance(32));
-}
-
 TEST(Roofline, AllMeasuredPointsUnderRoof) {
   FtimmOptions opt;
   opt.functional = false;

@@ -53,8 +53,7 @@ class MicroKernelTester {
   static std::vector<hostsimd::Tier> tiers() {
     const hostsimd::Tier prev = hostsimd::active_tier();
     std::vector<hostsimd::Tier> out;
-    for (const auto t : {hostsimd::Tier::Scalar, hostsimd::Tier::Avx2,
-                         hostsimd::Tier::Neon}) {
+    for (const auto t : {hostsimd::Tier::Scalar, hostsimd::Tier::Avx2}) {
       if (hostsimd::set_active_tier(t) == t) out.push_back(t);
     }
     hostsimd::set_active_tier(prev);

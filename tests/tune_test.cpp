@@ -171,59 +171,25 @@ TEST(TuningCacheTest, SchemaV1FileFallsBackToAnalytic) {
   EXPECT_FALSE(cache.lookup(262144, 32, 32, opt).has_value());
 }
 
-TEST(TuningCacheTest, StrassenAndDtypeEntriesRoundTrip) {
+TEST(TuningCacheTest, DtypeEntriesRoundTrip) {
   TuningCache cache;
-  TunedEntry s = make_entry(16384, 16384, 16384);
-  s.strategy = core::Strategy::Strassen;
-  s.strassen_cutoff = 8192;
-  cache.put(s);
   TunedEntry h = make_entry(262144, 32, 32);
   h.cls = ShapeClass::of(262144, 32, 32, 8, kernelgen::DType::F16);
   cache.put(h);
   const std::string text = cache.serialize();
-  EXPECT_NE(text.find("\"strategy\": \"strassen\""), std::string::npos);
-  EXPECT_NE(text.find("\"cutoff\": 8192"), std::string::npos);
   EXPECT_NE(text.find("-dt2"), std::string::npos);
   TuningCache loaded;
   ASSERT_EQ(loaded.deserialize(text), LoadStatus::Ok);
   EXPECT_EQ(loaded.serialize(), text);
-  const auto hit = loaded.find(s.cls);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->strategy, core::Strategy::Strassen);
-  EXPECT_EQ(hit->strassen_cutoff, 8192u);
+  ASSERT_TRUE(loaded.find(h.cls).has_value());
 
   // lookup() keys on the request dtype: the F16 entry is invisible to an
-  // F32 request and vice versa, and the Strassen entry binds to a plan
-  // that carries its cutoff.
+  // F32 request.
   core::FtimmOptions f32;
   EXPECT_FALSE(loaded.lookup(262144, 32, 32, f32).has_value());
   core::FtimmOptions f16 = f32;
   f16.dtype = kernelgen::DType::F16;
   EXPECT_TRUE(loaded.lookup(262144, 32, 32, f16).has_value());
-  const auto sp = loaded.lookup(16384, 16384, 16384, f32);
-  ASSERT_TRUE(sp.has_value());
-  EXPECT_EQ(sp->strategy, core::Strategy::Strassen);
-  EXPECT_EQ(sp->strassen_cutoff, 8192u);
-}
-
-TEST(EngineIntegrationTest, TunedStrassenPlanRunsStrassen) {
-  const isa::MachineConfig mc = isa::default_machine();
-  auto cache = std::make_shared<TuningCache>(mc);
-  TunedEntry e;
-  e.cls = ShapeClass::of(1024, 1024, 1024, 8);
-  e.strategy = core::Strategy::Strassen;
-  e.strassen_cutoff = 256;
-  e.m = 1024;
-  e.n = 1024;
-  e.k = 1024;
-  cache->put(e);
-  core::FtimmEngine eng(mc);
-  eng.set_plan_provider(cache);
-  core::FtimmOptions opt;
-  opt.functional = false;
-  const auto r = eng.sgemm(core::GemmInput::shape_only(1024, 1024, 1024), opt);
-  EXPECT_EQ(r.strategy, core::Strategy::Strassen);
-  EXPECT_EQ(r.strassen_levels, 2);
 }
 
 TEST(TunerTest, HalfEntriesTuneIntoTheirOwnClass) {
@@ -258,15 +224,27 @@ TEST(TuningCacheTest, BadEntryRejectsWholeFileWithoutPartialApply) {
   TuningCache full;
   full.put(make_entry(262144, 32, 32));
   full.put(make_entry(32, 32, 262144));
-  std::string text = full.serialize();
+  const std::string text = full.serialize();
   // Corrupt the *second* entry's strategy: a staged parse must not keep
   // the first one either.
-  const auto pos = text.rfind("ftimm-M");
+  std::string bogus = text;
+  const auto pos = bogus.rfind("ftimm-M");
   ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, 7, "bogus!!");
-  TuningCache cache;
-  EXPECT_EQ(cache.deserialize(text), LoadStatus::ParseError);
-  EXPECT_EQ(cache.size(), 0u);
+  bogus.replace(pos, 7, "bogus!!");
+  // A schema-2 file written when "strassen" was still a strategy: the
+  // name is no longer known, so the whole file is a bad entry.
+  std::string retired = text;
+  const auto spos = retired.rfind("\"ftimm-M\"");
+  const auto bpos = retired.find("\"blocks\": {", spos);
+  const auto bend = retired.find('}', bpos);
+  ASSERT_NE(bend, std::string::npos);
+  retired.replace(bpos, bend + 1 - bpos, "\"blocks\": {\"cutoff\": 8192}");
+  retired.replace(spos, 9, "\"strassen\"");
+  for (const std::string& doc : {bogus, retired}) {
+    TuningCache cache;
+    EXPECT_EQ(cache.deserialize(doc), LoadStatus::ParseError) << doc;
+    EXPECT_EQ(cache.size(), 0u);
+  }
 }
 
 TEST(TuningCacheTest, LoadMergesLastWriteWins) {

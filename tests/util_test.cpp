@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ftm/util/assert.hpp"
 #include "ftm/util/cli.hpp"
 #include "ftm/util/matrix.hpp"
@@ -88,6 +90,27 @@ TEST(Matrix, MaxRelDiff) {
   EXPECT_EQ(max_rel_diff(a.view(), b.view()), 0.0);
   b.at(1, 1) = 1.1f;
   EXPECT_NEAR(max_rel_diff(a.view(), b.view()), 0.1 / 1.1, 1e-6);
+}
+
+TEST(Matrix, MaxRelDiffFlagsNonFinite) {
+  HostMatrix ref(2, 2), c(2, 2);
+  ref.fill(1.0f);
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(), inf}) {
+    c.fill(1.0f);
+    c.at(0, 1) = bad;
+    EXPECT_EQ(max_rel_diff(c.view(), ref.view()),
+              std::numeric_limits<double>::infinity())
+        << bad;
+    EXPECT_EQ(max_rel_diff(ref.view(), c.view()),
+              std::numeric_limits<double>::infinity())
+        << bad;
+  }
+  // An Inf that equals its reference is no difference.
+  c.fill(1.0f);
+  c.at(1, 0) = inf;
+  ref.at(1, 0) = inf;
+  EXPECT_EQ(max_rel_diff(c.view(), ref.view()), 0.0);
 }
 
 TEST(Matrix, GemmToleranceGrowsWithK) {
